@@ -76,9 +76,8 @@ OwnerRunResult RunOwner(const StudyConfig& config, const OwnerStudy& owner,
   SIGHT_CHECK((*service)->RegisterOwner(registration).ok());
   SIGHT_CHECK((*service)->DiscoverAllStrangers(owner.dataset.owner).ok());
 
-  // AssessNow over the freshly discovered two-hop set is bitwise-equal
-  // to the legacy per-owner RiskEngine::AssessOwner call, so every
-  // fig/table number is unchanged by the service migration.
+  // AssessNow over the freshly discovered two-hop set is
+  // RiskEngine::Assess with no carry over the owner's two-hop strangers.
   Rng rng(run_seed);
   auto report =
       (*service)->AssessNow(owner.dataset.owner, &*oracle, &rng);

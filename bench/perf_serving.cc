@@ -1,33 +1,29 @@
 // Serving performance study: quantifies what the resident RiskService
-// buys over the batch front doors, and writes the measured numbers to
-// BENCH_serving.json.
+// buys over rebuilding every pool per tick, and writes the measured
+// numbers to BENCH_serving.json.
 //
 // A Crawler trace (one owner, strangers surfacing in batches) is
-// replayed three times:
+// replayed twice:
 //
-//   service   full resident arm: carried PoolLearners PLUS the carried
+//   service   full resident arm: carried PoolLearners plus the carried
 //             pool partition and owner-level encoded stranger table
 //             (DESIGN.md §14) — an unchanged stranger set reuses the
 //             partition outright, a grown one routes only the new
 //             suffix through carried squeezers, and each tick encodes
 //             only newly discovered strangers.
-//   carried   the learner-carry-only arm (carry_pool_partition and
-//             carry_encoded_tables off): what serving looked like
-//             before the partition/encode caches landed.
-//   baseline  rebuild-per-tick legacy shape: RiskSession, which keeps
-//             labels and warm-start seeds but rebuilds every pool's
-//             codec, similarity matrix, and learner on each Assess.
+//   baseline  rebuild-per-tick shape: a RiskService with
+//             carry_learners = false, which keeps labels, warm-start
+//             seeds, and the memoized partition/encode but rebuilds
+//             every pool's similarity matrix and learner on each tick.
 //
 // The headline number is steady-state throughput: once discovery is
 // exhausted and the owner's answers have reached a fixpoint, a serving
 // workload keeps asking "what is my risk now". The harness FATALs
-// unless the full arm sustains >= 6x the rebuild baseline and >= 2x
-// the learner-carry-only arm on the unchanged-stranger-set trace,
-// FATALs if the carried partition/encode paths ever diverge bitwise
-// from the cache-free arm, FATALs unless the encode and partition
+// unless the full arm sustains >= 6x the rebuild baseline on the
+// unchanged-stranger-set trace, FATALs unless the encode and partition
 // caches each report at least one steady-state hit, and FATALs if
-// AssessNow diverges bitwise from a cold batch
-// RiskEngine::AssessStrangers over identical inputs.
+// AssessNow diverges bitwise from RiskEngine::Assess with no carry over
+// identical inputs.
 //
 // A multi-owner section replays one assess event per owner across a
 // worker pool at several thread counts (shards drain concurrently); on
@@ -51,7 +47,6 @@
 #include <vector>
 
 #include "core/risk_engine.h"
-#include "core/risk_session.h"
 #include "graph/algorithms.h"
 #include "service/risk_service.h"
 #include "sim/crawler.h"
@@ -80,7 +75,7 @@ sim::OwnerDataset MakeDataset(size_t strangers, size_t friends,
 }
 
 /// Field-by-field equality with exact double compares: the service's
-/// cold path must reproduce the batch engine bit for bit.
+/// cold path must reproduce the engine bit for bit.
 bool ReportsBitwiseEqual(const RiskReport& a, const RiskReport& b) {
   if (a.num_strangers != b.num_strangers || a.num_pools != b.num_pools ||
       a.pool_sizes != b.pool_sizes ||
@@ -107,8 +102,7 @@ struct CrawlRow {
   size_t tick = 0;
   size_t discovered_total = 0;
   double service_ms = 0.0;   // full arm: all carries on
-  double carried_ms = 0.0;   // learner-carry-only arm
-  double baseline_ms = 0.0;  // rebuild-per-tick RiskSession
+  double baseline_ms = 0.0;  // rebuild-per-tick (carry_learners off)
   size_t service_queries = 0;   // new oracle questions this tick
   size_t baseline_queries = 0;
   size_t pools_carried = 0;     // full arm
@@ -126,13 +120,10 @@ struct SteadyResult {
   size_t pools_total = 0;
   size_t pools_carried = 0;  // in the last full-arm tick
   double service_ms_total = 0.0;
-  double carried_ms_total = 0.0;
   double baseline_ms_total = 0.0;
   double service_per_sec = 0.0;
-  double carried_per_sec = 0.0;
   double baseline_per_sec = 0.0;
-  double speedup = 0.0;              // full arm vs rebuild baseline
-  double speedup_vs_carried = 0.0;   // full arm vs learner-carry-only
+  double speedup = 0.0;  // full arm vs rebuild baseline
   // Partition/encode cache hits of the full arm during the steady loop.
   size_t partition_hits = 0;
   size_t encode_hits = 0;
@@ -152,9 +143,6 @@ struct TraceStudy {
   std::vector<CrawlRow> crawl;
   SteadyResult steady;
   bool assess_now_bitwise_equal = false;
-  /// Full arm (partition+encode caches) vs learner-carry-only arm,
-  /// compared bitwise on every crawl tick and after the steady loop.
-  bool carried_vs_cold_bitwise_equal = false;
   /// Final carry-cache counters of the full arm, whole trace.
   RiskService::Stats full_arm_stats;
 };
@@ -171,9 +159,6 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   // Independent oracle instances per path: OwnerModel answers are a
   // pure function of the profiles, so every path hears the same owner.
   auto service_oracle =
-      sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility)
-          .value();
-  auto carried_oracle =
       sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility)
           .value();
   auto baseline_oracle =
@@ -201,23 +186,14 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
   registration.rng_seed = 99;
   SIGHT_CHECK(service->RegisterOwner(registration).ok());
 
-  // Learner-carry-only arm: the pre-§14 resident shape. Same seeds, so
-  // any bitwise divergence from the full arm indicts the new caches.
-  RiskServiceConfig carried_config = service_config;
-  carried_config.carry_pool_partition = false;
-  carried_config.carry_encoded_tables = false;
-  auto carried = RiskService::Create(carried_config).value();
-  OwnerRegistration carried_registration = registration;
-  carried_registration.oracle = &carried_oracle;
-  SIGHT_CHECK(carried->RegisterOwner(carried_registration).ok());
-
-  // Rebuild-per-tick baseline: RiskSession keeps labels and warm-start
-  // seeds across Assess calls but re-runs encode/matrix/rounds for
-  // every pool on every call.
-  auto baseline = RiskSession::Create(engine_config, &ds.graph,
-                                      &ds.profiles, &ds.visibility,
-                                      ds.owner)
-                      .value();
+  // Rebuild-per-tick baseline: same seeds, learners dropped after every
+  // tick, so each tick re-runs matrix build and rounds for every pool.
+  RiskServiceConfig baseline_config = service_config;
+  baseline_config.carry_learners = false;
+  auto baseline = RiskService::Create(baseline_config).value();
+  OwnerRegistration baseline_registration = registration;
+  baseline_registration.oracle = &baseline_oracle;
+  SIGHT_CHECK(baseline->RegisterOwner(baseline_registration).ok());
   Rng baseline_rng(99);
 
   sim::CrawlerConfig crawl_config;
@@ -227,11 +203,7 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
       sim::Crawler::Create(ds.graph, ds.owner, crawl_config, &crawl_rng)
           .value();
 
-  // --- Crawl replay: all three paths see the identical discovery
-  // trace. The full arm is gated bitwise against the learner-carry-only
-  // arm on every tick: the partition/encode caches must be invisible in
-  // the output.
-  study.carried_vs_cold_bitwise_equal = true;
+  // --- Crawl replay: both arms see the identical discovery trace.
   uint64_t version = 0;
   size_t service_queries_before = 0;
   size_t baseline_queries_before = 0;
@@ -264,31 +236,13 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
     row.encode_rows_appended =
         stats_now.encode_rows_appended - stats_before.encode_rows_appended;
     stats_before = stats_now;
-
-    std::shared_ptr<const AssessmentSnapshot> carried_snapshot;
-    row.carried_ms = TimeMs([&] {
-      OwnerEvent event;
-      event.owner = ds.owner;
-      event.discovered = batch;
-      SIGHT_CHECK(carried->Submit(std::move(event)).ok());
-      carried_snapshot = carried->WaitFor(ds.owner, version + 1).value();
-    });
     ++version;
-    SIGHT_CHECK(carried_snapshot->status.ok());
-    if (!ReportsBitwiseEqual(snapshot->report, carried_snapshot->report)) {
-      study.carried_vs_cold_bitwise_equal = false;
-      std::fprintf(stderr,
-                   "FATAL: carried partition/encode tick %zu diverges "
-                   "bitwise from the cache-free arm\n",
-                   row.tick);
-      std::exit(1);
-    }
 
-    RiskReport baseline_report;
     row.baseline_ms = TimeMs([&] {
-      SIGHT_CHECK(baseline.AddStrangers(batch).ok());
-      baseline_report =
-          baseline.Assess(&baseline_oracle, &baseline_rng).value();
+      SIGHT_CHECK(baseline->AddStrangers(ds.owner, batch).ok());
+      SIGHT_CHECK(
+          baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
+              .ok());
     });
     row.baseline_queries =
         baseline_oracle.num_queries() - baseline_queries_before;
@@ -296,17 +250,15 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
 
     row.discovered_total = crawler.discovered().size();
     std::printf("crawl     tick=%zu discovered=%-5zu service=%9.2fms "
-                "(carried %zu, enc+%zu, %zu q)  learner-only=%9.2fms  "
-                "baseline=%9.2fms (%zu q)\n",
+                "(carried %zu, enc+%zu, %zu q)  baseline=%9.2fms (%zu q)\n",
                 row.tick, row.discovered_total, row.service_ms,
                 row.pools_carried, row.encode_rows_appended,
-                row.service_queries, row.carried_ms, row.baseline_ms,
-                row.baseline_queries);
+                row.service_queries, row.baseline_ms, row.baseline_queries);
     study.crawl.push_back(row);
   }
 
-  // --- Bitwise gate: the service's cold read-through must match a
-  // batch engine run over the same strangers/labels/oracle/rng exactly.
+  // --- Bitwise gate: the service's cold read-through must match an
+  // engine run with no carry over the same strangers/labels/oracle/rng.
   {
     SIGHT_CHECK(service->Flush().ok());
     auto engine = RiskEngine::Create(engine_config).value();
@@ -322,32 +274,30 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
         service->KnownLabelsView(ds.owner).value();
     RiskReport service_report =
         service->AssessNow(ds.owner, &gate_oracle_a, &rng_a).value();
-    RiskReport batch_report =
+    RiskReport engine_report =
         engine
-            .AssessStrangers(ds.graph, ds.profiles, ds.visibility, ds.owner,
-                             crawler.discovered(), &gate_oracle_b, &rng_b,
-                             labels->empty() ? nullptr : labels,
-                             /*prior_scores=*/nullptr)
+            .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                    crawler.discovered(), &gate_oracle_b, &rng_b,
+                    labels->empty() ? nullptr : labels)
             .value();
     study.assess_now_bitwise_equal =
-        ReportsBitwiseEqual(service_report, batch_report);
+        ReportsBitwiseEqual(service_report, engine_report);
     if (!study.assess_now_bitwise_equal) {
       std::fprintf(stderr,
-                   "FATAL: AssessNow diverges from batch "
-                   "RiskEngine::AssessStrangers after the crawl replay\n");
+                   "FATAL: AssessNow diverges from RiskEngine::Assess with "
+                   "no carry after the crawl replay\n");
       std::exit(1);
     }
-    std::printf("bitwise   AssessNow == batch AssessStrangers over %zu "
-                "strangers\n",
+    std::printf("bitwise   AssessNow == RiskEngine::Assess (no carry) over "
+                "%zu strangers\n",
                 crawler.discovered().size());
   }
 
   // --- Steady state: discovery is done; drive assess-only requests
   // until the owner's answers reach a fixpoint (no new oracle
-  // questions on any path), then measure throughput. Each steady tick
+  // questions on either arm), then measure throughput. Each steady tick
   // re-assesses an unchanged stranger set, so the full arm's partition
   // and encode caches must hit on every one of them.
-  uint64_t carried_version = version;
   for (size_t warm = 0; warm < 8; ++warm) {
     Rng rng(7);
     RiskReport report =
@@ -356,15 +306,9 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
     if (report.assessment.total_queries == 0) break;
   }
   for (size_t warm = 0; warm < 8; ++warm) {
-    Rng rng(7);
     RiskReport report =
-        carried->AssessSync(ds.owner, &carried_oracle, &rng).value();
-    ++carried_version;
-    if (report.assessment.total_queries == 0) break;
-  }
-  for (size_t warm = 0; warm < 8; ++warm) {
-    RiskReport report =
-        baseline.Assess(&baseline_oracle, &baseline_rng).value();
+        baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
+            .value();
     if (report.assessment.total_queries == 0) break;
   }
 
@@ -389,63 +333,33 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
       steady_stats_now.partition_hits - steady_stats_before.partition_hits;
   steady.encode_hits =
       steady_stats_now.encode_hits - steady_stats_before.encode_hits;
-  steady.carried_ms_total = TimeMs([&] {
-    for (size_t i = 0; i < steady_ticks; ++i) {
-      OwnerEvent event;
-      event.owner = ds.owner;
-      SIGHT_CHECK(carried->Submit(std::move(event)).ok());
-      auto snapshot = carried->WaitFor(ds.owner, carried_version + 1).value();
-      ++carried_version;
-      SIGHT_CHECK(snapshot->status.ok());
-    }
-  });
   steady.baseline_ms_total = TimeMs([&] {
     for (size_t i = 0; i < steady_ticks; ++i) {
       RiskReport report =
-          baseline.Assess(&baseline_oracle, &baseline_rng).value();
+          baseline->AssessSync(ds.owner, &baseline_oracle, &baseline_rng)
+              .value();
       SIGHT_CHECK(report.num_strangers == crawler.discovered().size());
     }
   });
-  // The steady loops must not have nudged the two resident arms apart.
-  if (!ReportsBitwiseEqual(service->Poll(ds.owner)->report,
-                           carried->Poll(ds.owner)->report)) {
-    study.carried_vs_cold_bitwise_equal = false;
-    std::fprintf(stderr,
-                 "FATAL: carried partition/encode steady state diverges "
-                 "bitwise from the cache-free arm\n");
-    std::exit(1);
-  }
   steady.service_per_sec = 1000.0 * static_cast<double>(steady_ticks) /
                            steady.service_ms_total;
-  steady.carried_per_sec = 1000.0 * static_cast<double>(steady_ticks) /
-                           steady.carried_ms_total;
   steady.baseline_per_sec = 1000.0 * static_cast<double>(steady_ticks) /
                             steady.baseline_ms_total;
   steady.speedup = steady.service_per_sec / steady.baseline_per_sec;
-  steady.speedup_vs_carried = steady.service_per_sec / steady.carried_per_sec;
   std::printf("steady    %zu ticks: service=%9.2fms (%.1f/s, %zu/%zu pools "
-              "carried, %zu part hits, %zu enc hits)  learner-only="
-              "%9.2fms (%.1f/s)  baseline=%9.2fms (%.1f/s)\n",
+              "carried, %zu part hits, %zu enc hits)  baseline=%9.2fms "
+              "(%.1f/s)\n",
               steady.ticks, steady.service_ms_total, steady.service_per_sec,
               steady.pools_carried, steady.pools_total, steady.partition_hits,
-              steady.encode_hits, steady.carried_ms_total,
-              steady.carried_per_sec, steady.baseline_ms_total,
+              steady.encode_hits, steady.baseline_ms_total,
               steady.baseline_per_sec);
-  std::printf("steady    speedup=%.2fx vs rebuild baseline, %.2fx vs "
-              "learner-carry-only\n",
-              steady.speedup, steady.speedup_vs_carried);
+  std::printf("steady    speedup=%.2fx vs rebuild baseline\n",
+              steady.speedup);
   if (steady.speedup < 6.0) {
     std::fprintf(stderr,
                  "FATAL: steady-state serving speedup %.2fx is below the "
                  "6x bar over the rebuild-per-tick baseline\n",
                  steady.speedup);
-    std::exit(1);
-  }
-  if (steady.speedup_vs_carried < 2.0) {
-    std::fprintf(stderr,
-                 "FATAL: unchanged-stranger-set speedup %.2fx is below the "
-                 "2x bar over the learner-carry-only arm\n",
-                 steady.speedup_vs_carried);
     std::exit(1);
   }
   if (steady.encode_hits < 1 || steady.partition_hits < 1) {
@@ -456,7 +370,7 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
     std::exit(1);
   }
   study.full_arm_stats = service->stats();
-  carried->Shutdown();
+  baseline->Shutdown();
   service->Shutdown();
   return study;
 }
@@ -545,7 +459,6 @@ bool WriteJson(const std::string& path, const TraceStudy& study,
     const CrawlRow& r = study.crawl[i];
     out << "    {\"tick\": " << r.tick << ", \"discovered_total\": "
         << r.discovered_total << ", \"service_ms\": " << JsonNum(r.service_ms)
-        << ", \"carried_ms\": " << JsonNum(r.carried_ms)
         << ", \"baseline_ms\": " << JsonNum(r.baseline_ms)
         << ", \"service_queries\": " << r.service_queries
         << ", \"baseline_queries\": " << r.baseline_queries
@@ -566,13 +479,10 @@ bool WriteJson(const std::string& path, const TraceStudy& study,
       << ", \"partition_hits\": " << s.partition_hits
       << ", \"encode_hits\": " << s.encode_hits
       << ", \"service_ms_total\": " << JsonNum(s.service_ms_total)
-      << ", \"carried_ms_total\": " << JsonNum(s.carried_ms_total)
       << ", \"baseline_ms_total\": " << JsonNum(s.baseline_ms_total)
       << ", \"service_assessments_per_sec\": " << JsonNum(s.service_per_sec)
-      << ", \"carried_assessments_per_sec\": " << JsonNum(s.carried_per_sec)
       << ", \"baseline_assessments_per_sec\": " << JsonNum(s.baseline_per_sec)
       << ", \"speedup\": " << JsonNum(s.speedup)
-      << ", \"speedup_vs_carried\": " << JsonNum(s.speedup_vs_carried)
       << ", \"hardware_concurrency\": " << s.hardware_concurrency << "},\n";
   const RiskService::Stats& fs = study.full_arm_stats;
   out << "  \"carry_stats\": {\"partition_hits\": " << fs.partition_hits
@@ -582,8 +492,6 @@ bool WriteJson(const std::string& path, const TraceStudy& study,
       << ", \"encode_rows_appended\": " << fs.encode_rows_appended << "},\n";
   out << "  \"assess_now_bitwise_equal\": "
       << (study.assess_now_bitwise_equal ? "true" : "false") << ",\n";
-  out << "  \"carried_vs_cold_bitwise_equal\": "
-      << (study.carried_vs_cold_bitwise_equal ? "true" : "false") << ",\n";
   out << "  \"multi_owner\": [\n";
   for (size_t i = 0; i < multi.size(); ++i) {
     const ThreadPoint& p = multi[i];
@@ -600,14 +508,10 @@ bool WriteJson(const std::string& path, const TraceStudy& study,
   out << "  ],\n";
   out << "  \"summary\": {\n";
   out << "    \"steady_state_speedup\": " << JsonNum(s.speedup) << ",\n";
-  out << "    \"steady_state_speedup_vs_carried\": "
-      << JsonNum(s.speedup_vs_carried) << ",\n";
   out << "    \"steady_state_service_assessments_per_sec\": "
       << JsonNum(s.service_per_sec) << ",\n";
   out << "    \"assess_now_bitwise_equal\": "
-      << (study.assess_now_bitwise_equal ? "true" : "false") << ",\n";
-  out << "    \"carried_vs_cold_bitwise_equal\": "
-      << (study.carried_vs_cold_bitwise_equal ? "true" : "false") << "\n";
+      << (study.assess_now_bitwise_equal ? "true" : "false") << "\n";
   out << "  }\n";
   out << "}\n";
   return out.good();

@@ -341,11 +341,10 @@ RiskLabel PoolLearner::PredictedLabel(size_t i) const {
 
 Result<ActiveLearner> ActiveLearner::Create(
     const PoolSet& pools, const ProfileTable& profiles,
-    std::vector<double> display_benefits, ActiveLearnerConfig config,
-    const GraphClassifier* classifier, const Sampler* sampler,
-    const PoolLearner::KnownLabels* known_labels,
-    const PoolLearner::KnownLabels* prior_scores, LearnerCarry* carry,
-    const StrangerEncodeCache* encode) {
+    const StrangerEncodeCache& encode, std::vector<double> display_benefits,
+    ActiveLearnerConfig config, const GraphClassifier* classifier,
+    const Sampler* sampler, const PoolLearner::KnownLabels* known_labels,
+    const PoolLearner::KnownLabels* prior_scores, LearnerCarry* carry) {
   SIGHT_RETURN_IF_ERROR(config.Validate());
   if (display_benefits.size() != pools.strangers.size()) {
     return Status::InvalidArgument(
@@ -353,6 +352,11 @@ Result<ActiveLearner> ActiveLearner::Create(
   }
   if (classifier == nullptr || sampler == nullptr) {
     return Status::InvalidArgument("classifier and sampler are required");
+  }
+  if (!encode.FreshFor(profiles)) {
+    return Status::FailedPrecondition(
+        "the encoded stranger table is not refreshed against this profile "
+        "table");
   }
 
   ActiveLearner learner;
@@ -395,22 +399,15 @@ Result<ActiveLearner> ActiveLearner::Create(
   }
 
   // Per-pool scaffolding (cheap relative to the pairwise loop below):
-  // the pool's member rows — gathered from the owner-level encode cache
-  // when one was supplied, dictionary-encoded per pool otherwise — value
+  // the pool's member rows gathered from the owner-level encode, value
   // frequencies from the pool itself (Section III-C) indexed by those
   // codes, the weight matrix to fill, and the display vectors surfaced
   // to the oracle. Carried pools keep all of this from their previous
-  // tick. The two row sources differ only in code numbering, which
-  // profile similarity cannot observe (code equality and per-value
-  // counts survive any injective re-coding), so both are bitwise-equal.
-  struct PoolRows {
-    const uint32_t* rows = nullptr;
-    size_t num_rows = 0;
-    size_t num_attributes = 0;
-  };
-  std::vector<std::optional<EncodedProfileTable>> encoded(num_pools);
-  std::vector<std::vector<uint32_t>> gathered(num_pools);
-  std::vector<PoolRows> rows_of(num_pools);
+  // tick. The shared dictionary numbers codes differently from a
+  // per-pool one, which profile similarity cannot observe (code
+  // equality and per-value counts survive any injective re-coding).
+  const size_t num_attributes = encode.num_attributes();
+  std::vector<std::vector<uint32_t>> rows(num_pools);
   std::vector<std::optional<ValueFrequencyTable>> freqs(num_pools);
   std::vector<SimilarityMatrix> weights;
   std::vector<std::vector<double>> sims(num_pools);
@@ -424,18 +421,12 @@ Result<ActiveLearner> ActiveLearner::Create(
       continue;
     }
     size_t n = pool.members.size();
-    bool from_cache = encode != nullptr && !encode->empty() &&
-                      encode->GatherRows(pool.members, &gathered[p]);
-    if (from_cache) {
-      rows_of[p] = {gathered[p].data(), n, encode->num_attributes()};
-      freqs[p].emplace(ValueFrequencyTable::BuildFromCodes(
-          rows_of[p].rows, n, rows_of[p].num_attributes));
-    } else {
-      encoded[p].emplace(EncodedProfileTable::Build(profiles, pool.members));
-      rows_of[p] = {encoded[p]->row(0), encoded[p]->num_rows(),
-                    encoded[p]->num_attributes()};
-      freqs[p].emplace(ValueFrequencyTable::Build(*encoded[p]));
+    if (!encode.GatherRows(pool.members, &rows[p])) {
+      return Status::FailedPrecondition(
+          "the encoded stranger table does not cover every pool member");
     }
+    freqs[p].emplace(
+        ValueFrequencyTable::BuildFromCodes(rows[p].data(), n, num_attributes));
     weights.emplace_back(n);
     total_pairs += n * (n - 1) / 2;
     sims[p].assign(n, 0.0);
@@ -463,9 +454,9 @@ Result<ActiveLearner> ActiveLearner::Create(
   for (size_t p = 0; p < num_pools; ++p) {
     if (carried[p].has_value()) continue;
     const ps_kernels::TileShape shape =
-        ps_kernels::DefaultTileShape(rows_of[p].num_attributes);
+        ps_kernels::DefaultTileShape(num_attributes);
     for (const ps_kernels::PairTile& tile :
-         ps_kernels::MakeTiles(rows_of[p].num_rows, shape)) {
+         ps_kernels::MakeTiles(pools.pools[p].members.size(), shape)) {
       tiles.emplace_back(p, tile);
     }
   }
@@ -473,9 +464,8 @@ Result<ActiveLearner> ActiveLearner::Create(
   pf.total_work = total_pairs;
   ParallelFor(config.thread_pool, tiles.size(), [&](size_t t) {
     const auto& [p, tile] = tiles[t];
-    ps_kernels::FillTile(rows_of[p].rows, rows_of[p].num_rows,
-                         rows_of[p].num_attributes, ps, *freqs[p], tile,
-                         &weights[p]);
+    ps_kernels::FillTile(rows[p].data(), pools.pools[p].members.size(),
+                         num_attributes, ps, *freqs[p], tile, &weights[p]);
   }, pf);
 
   // Per-pool learner setup (sparsification, CSR compaction, label

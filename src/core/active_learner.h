@@ -325,29 +325,26 @@ struct AssessmentResult {
 /// Orchestrates PoolLearners over a PoolSet.
 class ActiveLearner {
  public:
-  /// `display_benefits` is parallel to `pools.strangers`.
-  /// `classifier` and `sampler` must outlive the learner. Strangers found
-  /// in `known_labels` (optional) start out labeled in their pools;
-  /// strangers found in `prior_scores` (optional) seed each pool's first
-  /// solve with the previous tick's predicted scores. `carry` (optional)
-  /// supplies retained learners from the previous tick: pools that
-  /// CanResume one skip the matrix build entirely; retained learners are
-  /// consumed whether or not they match (call HarvestInto after Run to
-  /// refill the carry for the next tick). `encode` (optional) is the
-  /// owner-level encoded stranger table (refreshed against `profiles`
-  /// this tick); pools gather their member rows from it instead of
-  /// re-encoding per pool — bitwise-identical because profile similarity
-  /// only sees code equality and per-value frequencies, both invariant
-  /// under the codec swap.
+  /// `display_benefits` is parallel to `pools.strangers`. `encode` is
+  /// the owner-level encoded stranger table, refreshed against `profiles`
+  /// and `pools.strangers` this tick; every pool gathers its member rows
+  /// from it. `classifier` and `sampler` must outlive the learner.
+  /// Strangers found in `known_labels` (optional) start out labeled in
+  /// their pools; strangers found in `prior_scores` (optional) seed each
+  /// pool's first solve with the previous tick's predicted scores.
+  /// `carry` (optional) supplies retained learners from the previous
+  /// tick: pools that CanResume one skip the matrix build entirely;
+  /// retained learners are consumed whether or not they match (call
+  /// HarvestInto after Run to refill the carry for the next tick).
   [[nodiscard]]
   static Result<ActiveLearner> Create(
       const PoolSet& pools, const ProfileTable& profiles,
-      std::vector<double> display_benefits, ActiveLearnerConfig config,
-      const GraphClassifier* classifier, const Sampler* sampler,
+      const StrangerEncodeCache& encode, std::vector<double> display_benefits,
+      ActiveLearnerConfig config, const GraphClassifier* classifier,
+      const Sampler* sampler,
       const PoolLearner::KnownLabels* known_labels = nullptr,
       const PoolLearner::KnownLabels* prior_scores = nullptr,
-      LearnerCarry* carry = nullptr,
-      const StrangerEncodeCache* encode = nullptr);
+      LearnerCarry* carry = nullptr);
 
   /// Runs every pool to completion.
   [[nodiscard]] Result<AssessmentResult> Run(LabelOracle* oracle, Rng* rng);

@@ -24,6 +24,11 @@ class NetworkSimilarityGroups {
       size_t alpha, const std::vector<UserId>& strangers,
       const std::vector<double>& similarities);
 
+  /// The group of one NS value: floor(ns * alpha), with ns == 1 in the
+  /// last group. InvalidArgument when alpha is 0, OutOfRange when ns is
+  /// outside [0, 1]. Build and the pool builder both bin through this.
+  [[nodiscard]] static Result<size_t> GroupOf(double ns, size_t alpha);
+
   size_t alpha() const { return groups_.size(); }
 
   /// Strangers in group x (ascending NS ranges as x grows).

@@ -1,7 +1,6 @@
 #include "core/pool_builder.h"
 
 #include "graph/algorithms.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace sight {
@@ -39,57 +38,10 @@ Result<PoolSet> PoolBuilder::Build(const SocialGraph& graph,
 
 Result<PoolSet> PoolBuilder::BuildForStrangers(
     const SocialGraph& graph, const ProfileTable& profiles, UserId owner,
-    std::vector<UserId> strangers) const {
-  PoolSet result;
-  result.strangers = std::move(strangers);
-
-  SIGHT_ASSIGN_OR_RETURN(NetworkSimilarity ns,
-                         NetworkSimilarity::Create(config_.ns_config));
-  result.network_similarities =
-      ns.ComputeBatch(graph, owner, result.strangers, config_.thread_pool);
-
-  SIGHT_ASSIGN_OR_RETURN(
-      NetworkSimilarityGroups nsg,
-      NetworkSimilarityGroups::Build(config_.alpha, result.strangers,
-                                     result.network_similarities));
-
-  if (config_.strategy == PoolStrategy::kNetworkOnly) {
-    for (size_t x = 0; x < nsg.alpha(); ++x) {
-      if (nsg.group(x).empty()) continue;
-      StrangerPool pool;
-      pool.members = nsg.group(x);
-      pool.nsg_index = x;
-      pool.cluster_index = 0;
-      result.pools.push_back(std::move(pool));
-    }
-    return result;
-  }
-
-  SqueezerConfig sq_config;
-  sq_config.threshold = config_.beta;
-  sq_config.weights = config_.attribute_weights;
-  SIGHT_ASSIGN_OR_RETURN(Squeezer squeezer,
-                         Squeezer::Create(profiles.schema(), sq_config));
-
-  for (size_t x = 0; x < nsg.alpha(); ++x) {
-    if (nsg.group(x).empty()) continue;
-    SIGHT_ASSIGN_OR_RETURN(Clustering clustering,
-                           squeezer.Cluster(profiles, nsg.group(x)));
-    for (size_t c = 0; c < clustering.num_clusters(); ++c) {
-      StrangerPool pool;
-      pool.members = clustering.clusters[c];
-      pool.nsg_index = x;
-      pool.cluster_index = c;
-      result.pools.push_back(std::move(pool));
-    }
-  }
-  return result;
-}
-
-Result<PoolSet> PoolBuilder::BuildForStrangersCached(
-    const SocialGraph& graph, const ProfileTable& profiles, UserId owner,
     std::vector<UserId> strangers, PoolPartitionCache* cache) const {
-  SIGHT_CHECK(cache != nullptr);
+  // A build without a carried partition is a build into an empty one.
+  PoolPartitionCache local;
+  if (cache == nullptr) cache = &local;
   bool reuse =
       cache->valid_ && cache->graph_ == &graph &&
       cache->graph_epoch_ == graph.mutation_epoch() &&
@@ -147,47 +99,50 @@ Result<PoolSet> PoolBuilder::BuildForStrangersCached(
                            NetworkSimilarity::Create(config_.ns_config));
     std::vector<double> suffix_ns =
         ns.ComputeBatch(graph, owner, suffix, config_.thread_pool);
-    std::optional<Squeezer> squeezer;
-    if (config_.strategy == PoolStrategy::kNetworkAndProfile) {
+    // Definition 1 binning of the suffix, then each touched group takes
+    // its new members in discovery order. Squeezer is one-pass, so a
+    // carried prefix plus this suffix clusters exactly like the whole
+    // list at once.
+    std::vector<std::vector<UserId>> routed(config_.alpha);
+    for (size_t k = 0; k < suffix.size(); ++k) {
+      SIGHT_ASSIGN_OR_RETURN(
+          size_t x, NetworkSimilarityGroups::GroupOf(suffix_ns[k],
+                                                     config_.alpha));
+      routed[x].push_back(suffix[k]);
+    }
+    cache->strangers_.insert(cache->strangers_.end(), suffix.begin(),
+                             suffix.end());
+    cache->ns_.insert(cache->ns_.end(), suffix_ns.begin(), suffix_ns.end());
+    if (config_.strategy == PoolStrategy::kNetworkOnly) {
+      for (size_t x = 0; x < config_.alpha; ++x) {
+        cache->group_members_[x].insert(cache->group_members_[x].end(),
+                                        routed[x].begin(), routed[x].end());
+      }
+    } else {
       SqueezerConfig sq_config;
       sq_config.threshold = config_.beta;
       sq_config.weights = config_.attribute_weights;
-      SIGHT_ASSIGN_OR_RETURN(Squeezer created,
+      SIGHT_ASSIGN_OR_RETURN(Squeezer squeezer,
                              Squeezer::Create(profiles.schema(), sq_config));
-      squeezer.emplace(std::move(created));
-    }
-    for (size_t k = 0; k < suffix.size(); ++k) {
-      double value = suffix_ns[k];
-      // Same validation and binning as NetworkSimilarityGroups::Build.
-      if (value < 0.0 || value > 1.0) {
-        return Status::OutOfRange(
-            StrFormat("network similarity %f outside [0, 1]", value));
-      }
-      size_t x = static_cast<size_t>(value *
-                                     static_cast<double>(config_.alpha));
-      if (x >= config_.alpha) x = config_.alpha - 1;
-      cache->group_members_[x].push_back(suffix[k]);
-      if (squeezer.has_value()) {
+      for (size_t x = 0; x < config_.alpha; ++x) {
+        if (routed[x].empty()) continue;
         if (!cache->squeezers_[x].has_value()) {
           SIGHT_ASSIGN_OR_RETURN(IncrementalSqueezer incremental,
-                                 squeezer->MakeIncremental(profiles.schema()));
+                                 squeezer.MakeIncremental(profiles.schema()));
           cache->squeezers_[x].emplace(std::move(incremental));
         }
         SIGHT_RETURN_IF_ERROR(
-            cache->squeezers_[x]->Add(profiles, suffix[k]).status());
+            cache->squeezers_[x]->AddBatch(profiles, routed[x]).status());
       }
-      cache->strangers_.push_back(suffix[k]);
-      cache->ns_.push_back(value);
     }
   }
   cache->valid_ = true;
 
-  // Materialize the pool set in the exact shape BuildForStrangers emits:
-  // groups in ascending NSG order, clusters in creation order, members in
-  // insertion order — report ordering and the shared learner Rng stream
-  // depend on it.
+  // Materialize the pool set: groups in ascending NSG order, clusters in
+  // creation order, members in insertion order — report ordering and
+  // the shared learner Rng stream depend on it.
   PoolSet result;
-  result.strangers = cache->strangers_;
+  result.strangers = std::move(strangers);
   result.network_similarities = cache->ns_;
   for (size_t x = 0; x < config_.alpha; ++x) {
     if (config_.strategy == PoolStrategy::kNetworkOnly) {

@@ -76,7 +76,7 @@ struct PoolBuilderConfig {
 /// set reuses the partition outright and a grown one pays only for its
 /// suffix. A fingerprint (graph/profile pointers + mutation epochs,
 /// owner, builder configuration) guards staleness; any mismatch falls
-/// back to a cold rebuild through the same per-element path.
+/// back to a cold rebuild through the same path.
 ///
 /// One cache serves one owner under one builder configuration. Not
 /// thread-safe; the service keys it under the owner's state mutex.
@@ -138,26 +138,19 @@ class PoolBuilder {
                         UserId owner) const;
 
   /// Same, but over a caller-provided stranger set (used by the
-  /// incremental crawler flow where discovery is partial).
+  /// incremental crawler flow where discovery is partial). `cache`
+  /// (optional) carries the partition across calls: when it still
+  /// fingerprints to (graph, profiles, owner, this config) and its
+  /// carried strangers are a prefix of `strangers`, only the new suffix
+  /// is NS-scored, binned, and squeezed; otherwise it is rebuilt from
+  /// scratch. Without one the build runs into a local, empty cache, so
+  /// every call takes the same path and the pool set is identical either
+  /// way. On error the cache is invalidated (next call rebuilds).
   [[nodiscard]]
   Result<PoolSet> BuildForStrangers(const SocialGraph& graph,
                                     const ProfileTable& profiles, UserId owner,
-                                    std::vector<UserId> strangers) const;
-
-  /// BuildForStrangers through a carried partition: when `cache` still
-  /// fingerprints to (graph, profiles, owner, this config) and its
-  /// carried strangers are a prefix of `strangers`, only the new suffix
-  /// is NS-scored, binned, and squeezed; otherwise the cache is rebuilt
-  /// from scratch. The returned PoolSet is bitwise-identical to
-  /// BuildForStrangers on every path — pools materialize in the same
-  /// (group, cluster) order with members in the same insertion order.
-  /// On error the cache is invalidated (next call rebuilds).
-  [[nodiscard]]
-  Result<PoolSet> BuildForStrangersCached(const SocialGraph& graph,
-                                          const ProfileTable& profiles,
-                                          UserId owner,
-                                          std::vector<UserId> strangers,
-                                          PoolPartitionCache* cache) const;
+                                    std::vector<UserId> strangers,
+                                    PoolPartitionCache* cache = nullptr) const;
 
   const PoolBuilderConfig& config() const { return config_; }
 

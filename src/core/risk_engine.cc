@@ -1,7 +1,6 @@
 #include "core/risk_engine.h"
 
-#include "graph/algorithms.h"
-#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace sight {
 
@@ -96,102 +95,63 @@ Result<RiskEngine> RiskEngine::Create(RiskEngineConfig config) {
   return engine;
 }
 
-Result<RiskReport> RiskEngine::AssessOwner(const SocialGraph& graph,
-                                           const ProfileTable& profiles,
-                                           const VisibilityTable& visibility,
-                                           UserId owner, LabelOracle* oracle,
-                                           Rng* rng) const {
-  SIGHT_ASSIGN_OR_RETURN(std::vector<UserId> strangers,
-                         TwoHopStrangers(graph, owner));
-  return AssessStrangers(graph, profiles, visibility, owner,
-                         std::move(strangers), oracle, rng);
-}
-
-Result<RiskReport> RiskEngine::AssessStrangers(
-    const SocialGraph& graph, const ProfileTable& profiles,
-    const VisibilityTable& visibility, UserId owner,
-    std::vector<UserId> strangers, LabelOracle* oracle, Rng* rng,
-    const PoolLearner::KnownLabels* known_labels,
-    const PoolLearner::KnownLabels* prior_scores) const {
-  return AssessImpl(graph, profiles, visibility, owner, std::move(strangers),
-                    oracle, rng, known_labels, prior_scores,
-                    /*carry=*/nullptr);
-}
-
-Result<RiskReport> RiskEngine::AssessIncremental(
+Result<RiskReport> RiskEngine::Assess(
     const SocialGraph& graph, const ProfileTable& profiles,
     const VisibilityTable& visibility, UserId owner,
     std::vector<UserId> strangers, LabelOracle* oracle, Rng* rng,
     const PoolLearner::KnownLabels* known_labels,
     const PoolLearner::KnownLabels* prior_scores, AssessCarry* carry) const {
-  SIGHT_CHECK(carry != nullptr);
-  return AssessImpl(graph, profiles, visibility, owner, std::move(strangers),
-                    oracle, rng, known_labels, prior_scores, carry);
-}
-
-Result<RiskReport> RiskEngine::AssessImpl(
-    const SocialGraph& graph, const ProfileTable& profiles,
-    const VisibilityTable& visibility, UserId owner,
-    std::vector<UserId> strangers, LabelOracle* oracle, Rng* rng,
-    const PoolLearner::KnownLabels* known_labels,
-    const PoolLearner::KnownLabels* prior_scores, AssessCarry* carry) const {
-  RiskReport report;
-  if (carry != nullptr) {
-    carry->InvalidateOnUpstreamChange(graph, profiles, visibility);
+  if (!graph.HasUser(owner)) {
+    return Status::InvalidArgument(StrFormat("unknown owner %u", owner));
   }
+  // A cold assessment is a warm one with an empty carry.
+  AssessCarry local;
+  AssessCarry* active = carry != nullptr ? carry : &local;
+  active->InvalidateOnUpstreamChange(graph, profiles, visibility);
+  RiskReport report;
 
   PoolBuilderConfig pool_config = config_.pools;
   pool_config.thread_pool = effective_pool();
   SIGHT_ASSIGN_OR_RETURN(PoolBuilder builder,
                          PoolBuilder::Create(std::move(pool_config)));
-  PoolSet pools;
-  if (carry != nullptr && carry->use_partition) {
-    size_t known = carry->partition.num_strangers();
-    size_t total = strangers.size();
-    size_t misses_before = carry->partition.stats().misses;
-    SIGHT_ASSIGN_OR_RETURN(
-        pools, builder.BuildForStrangersCached(graph, profiles, owner,
+  size_t known = active->partition.num_strangers();
+  size_t total = strangers.size();
+  size_t misses_before = active->partition.stats().misses;
+  SIGHT_ASSIGN_OR_RETURN(
+      PoolSet pools, builder.BuildForStrangers(graph, profiles, owner,
                                                std::move(strangers),
-                                               &carry->partition));
-    // The cache's own counters are the ground truth: a cold rebuild of
-    // an already-full cache leaves num_strangers() unchanged and would
-    // otherwise masquerade as a reuse.
-    report.carry.partition_reused =
-        carry->partition.stats().misses == misses_before;
-    report.carry.partition_new_strangers =
-        report.carry.partition_reused ? total - known : total;
-  } else {
-    SIGHT_ASSIGN_OR_RETURN(pools,
-                           builder.BuildForStrangers(graph, profiles, owner,
-                                                     std::move(strangers)));
-  }
+                                               &active->partition));
 
   SIGHT_ASSIGN_OR_RETURN(BenefitModel benefit,
                          BenefitModel::Create(config_.theta));
   std::vector<double> benefits =
       benefit.ComputeBatch(visibility, pools.strangers);
 
-  const StrangerEncodeCache* encode = nullptr;
-  if (carry != nullptr && carry->use_encode) {
-    StrangerEncodeCache::RefreshResult refreshed =
-        carry->encode.Refresh(profiles, pools.strangers);
+  StrangerEncodeCache::RefreshResult refreshed =
+      active->encode.Refresh(profiles, pools.strangers);
+  if (carry != nullptr) {
+    // The cache's own counters are the ground truth: a cold rebuild of
+    // an already-full cache leaves num_strangers() unchanged and would
+    // otherwise masquerade as a reuse.
+    report.carry.partition_reused =
+        active->partition.stats().misses == misses_before;
+    report.carry.partition_new_strangers =
+        report.carry.partition_reused ? total - known : total;
     report.carry.encode_reused = refreshed.reused;
     report.carry.encode_rows_appended = refreshed.rows_appended;
-    encode = &carry->encode;
   }
 
   ActiveLearnerConfig learner_config = config_.learner;
   learner_config.thread_pool = effective_pool();
-  LearnerCarry* learners =
-      carry != nullptr && carry->use_learners ? &carry->learners : nullptr;
   SIGHT_ASSIGN_OR_RETURN(
       ActiveLearner learner,
-      ActiveLearner::Create(pools, profiles, std::move(benefits),
-                            learner_config, classifier_.get(), sampler_.get(),
-                            known_labels, prior_scores, learners, encode));
+      ActiveLearner::Create(pools, profiles, active->encode,
+                            std::move(benefits), learner_config,
+                            classifier_.get(), sampler_.get(), known_labels,
+                            prior_scores, &active->learners));
 
   SIGHT_ASSIGN_OR_RETURN(report.assessment, learner.Run(oracle, rng));
-  if (learners != nullptr) learner.HarvestInto(learners);
+  learner.HarvestInto(&active->learners);
   report.num_strangers = pools.TotalStrangers();
   report.num_pools = pools.pools.size();
   report.pool_sizes.reserve(pools.pools.size());

@@ -1,23 +1,18 @@
-// RiskEngine: the batch assessment core of the Sight library.
+// RiskEngine: the assessment core of the Sight library.
 //
-// Wires together the full pipeline of the paper: two-hop stranger
-// enumeration -> network similarity -> Definition 1/3 pools -> benefit
-// computation -> active learning with a graph-based classifier -> a risk
-// label for every stranger of the owner.
-//
-// DEPRECATED as a front door: constructing a RiskEngine per owner (or
-// per crawler tick) rebuilds codecs, frequency tables, and learners
-// from scratch every call. New code should go through the resident
-// `RiskService` (service/risk_service.h), which shards owner state,
-// carries learners across ticks, and exposes async Submit/Poll as well
-// as a bitwise-identical synchronous path. See DESIGN.md §13 for the
-// old->new API map. RiskEngine remains the internal execution core the
-// service drives.
+// Wires together the full pipeline of the paper: network similarity ->
+// Definition 1/3 pools -> benefit computation -> active learning with a
+// graph-based classifier -> a risk label for every stranger of the
+// owner. The resident `RiskService` (service/risk_service.h) is the
+// front door: it shards owner state, keeps each owner's AssessCarry
+// across crawler ticks, and exposes async Submit/Poll as well as the
+// synchronous AssessNow/AssessSync. See DESIGN.md §13.
 //
 //   RiskEngineConfig config;                    // paper defaults
 //   auto engine = RiskEngine::Create(config).value();
-//   auto report = engine.AssessOwner(graph, profiles, visibility,
-//                                    owner, &oracle, &rng).value();
+//   auto strangers = TwoHopStrangers(graph, owner).value();
+//   auto report = engine.Assess(graph, profiles, visibility, owner,
+//                               strangers, &oracle, &rng).value();
 //   for (const auto& sa : report.assessment.strangers) { ... }
 
 #ifndef SIGHT_CORE_RISK_ENGINE_H_
@@ -83,8 +78,8 @@ struct RiskEngineConfig {
   ThreadPool* thread_pool = nullptr;
 };
 
-/// What the resident caches did for one assessment (all zero/false on
-/// cold paths).
+/// What the caller's carry did for one assessment (all zero/false when
+/// Assess runs without one).
 struct CarryTelemetry {
   /// The carried pool partition was reused (identical or grown set).
   bool partition_reused = false;
@@ -115,16 +110,15 @@ struct RiskReport {
 /// to a cold rebuild independently; on top of that, the engine drops the
 /// learner carry whenever the graph, profile, or visibility tables
 /// mutated since the carry was filled (their fingerprints cannot see
-/// upstream edits that keep pool membership stable). The use_* flags let
-/// callers (bench arms, equivalence tests) disable individual layers;
-/// results are bitwise-identical at every setting.
+/// upstream edits that keep pool membership stable). The partition and
+/// encode layers are pure memoization: an empty carry, a warm one, or a
+/// cleared one give bitwise the same report. Only the learner layer
+/// changes what is asked — a carried pool asks the owner nothing new —
+/// so callers that want rebuild-per-tick semantics clear `learners`.
 struct AssessCarry {
   LearnerCarry learners;
   PoolPartitionCache partition;
   StrangerEncodeCache encode;
-  bool use_learners = true;
-  bool use_partition = true;
-  bool use_encode = true;
 
   /// Drops all carried state (fingerprints re-arm on the next tick).
   void Clear();
@@ -132,7 +126,7 @@ struct AssessCarry {
   /// Drops the learner carry when any upstream table's identity or
   /// mutation epoch changed since the last call; records the current
   /// epochs either way. Called by the engine at the top of every
-  /// incremental assessment.
+  /// assessment.
   void InvalidateOnUpstreamChange(const SocialGraph& graph,
                                   const ProfileTable& profiles,
                                   const VisibilityTable& visibility);
@@ -154,63 +148,36 @@ class RiskEngine {
   RiskEngine(RiskEngine&&) = default;
   RiskEngine& operator=(RiskEngine&&) = default;
 
-  /// Runs the full pipeline for `owner`. The oracle is queried
-  /// labels_per_round strangers per pool per round until every pool meets
-  /// the Section III-D stopping condition.
+  /// Runs the full pipeline for `owner` over `strangers` (in discovery
+  /// order). The oracle is queried labels_per_round strangers per pool
+  /// per round until every pool meets the Section III-D stopping
+  /// condition. Strangers in `known_labels` (optional) start out
+  /// owner-labeled; the oracle is only queried for the rest. Strangers
+  /// in `prior_scores` (optional) seed the pools' first solves with the
+  /// previous tick's predicted scores (warm start across ticks).
+  ///
+  /// `carry` (optional) is the owner's cross-tick state: finished
+  /// PoolLearners stashed by a previous call are resumed when their
+  /// pool's member list and owner labels are unchanged, the pool
+  /// partition is carried so an unchanged/grown stranger set skips the
+  /// NS/NSG/Squeezer rebuild, and the owner-level encode is carried so
+  /// only newly discovered strangers are re-encoded; afterwards the new
+  /// learners are harvested back into `carry`. Pass distinct carries for
+  /// distinct owners. Without one the call runs on a local, empty carry
+  /// — the same code path — and reports all-zero CarryTelemetry.
   [[nodiscard]]
-  Result<RiskReport> AssessOwner(const SocialGraph& graph,
-                                 const ProfileTable& profiles,
-                                 const VisibilityTable& visibility,
-                                 UserId owner, LabelOracle* oracle,
-                                 Rng* rng) const;
-
-  /// Variant over an explicit stranger set (incremental-crawler flow).
-  /// Strangers in `known_labels` (optional) start out owner-labeled; the
-  /// oracle is only queried for the rest. Strangers in `prior_scores`
-  /// (optional) seed the pools' first solves with the previous tick's
-  /// predicted scores (warm start across ticks). RiskService manages
-  /// both maps automatically.
-  [[nodiscard]]
-  Result<RiskReport> AssessStrangers(
+  Result<RiskReport> Assess(
       const SocialGraph& graph, const ProfileTable& profiles,
       const VisibilityTable& visibility, UserId owner,
       std::vector<UserId> strangers, LabelOracle* oracle, Rng* rng,
       const PoolLearner::KnownLabels* known_labels = nullptr,
-      const PoolLearner::KnownLabels* prior_scores = nullptr) const;
-
-  /// AssessStrangers plus cross-tick reuse of the carry bundle:
-  /// finished PoolLearners stashed in `carry` by a previous call are
-  /// resumed when their pool's member list and owner labels are
-  /// unchanged (stale state is rejected by those fingerprint checks),
-  /// the pool partition is carried so an unchanged/grown stranger set
-  /// skips the NS/NSG/Squeezer rebuild, and the owner-level encode is
-  /// carried so only newly discovered strangers are re-encoded. After
-  /// the run, the new learners are harvested back into `carry` for the
-  /// next tick. `carry` may be empty but not null; pass distinct
-  /// carries for distinct owners. Drives RiskService's warm path;
-  /// results are bitwise-identical to AssessStrangers.
-  [[nodiscard]]
-  Result<RiskReport> AssessIncremental(
-      const SocialGraph& graph, const ProfileTable& profiles,
-      const VisibilityTable& visibility, UserId owner,
-      std::vector<UserId> strangers, LabelOracle* oracle, Rng* rng,
-      const PoolLearner::KnownLabels* known_labels,
-      const PoolLearner::KnownLabels* prior_scores, AssessCarry* carry) const;
+      const PoolLearner::KnownLabels* prior_scores = nullptr,
+      AssessCarry* carry = nullptr) const;
 
   const RiskEngineConfig& config() const { return config_; }
 
  private:
   explicit RiskEngine(RiskEngineConfig config);
-
-  [[nodiscard]]
-  Result<RiskReport> AssessImpl(const SocialGraph& graph,
-                                const ProfileTable& profiles,
-                                const VisibilityTable& visibility, UserId owner,
-                                std::vector<UserId> strangers,
-                                LabelOracle* oracle, Rng* rng,
-                                const PoolLearner::KnownLabels* known_labels,
-                                const PoolLearner::KnownLabels* prior_scores,
-                                AssessCarry* carry) const;
 
   /// The pool the pipeline phases run on: the caller's, else the engine's
   /// own (num_threads != 1), else null (serial).

@@ -62,7 +62,10 @@ struct Profile {
 /// read as all-missing profiles.
 class ProfileTable {
  public:
-  explicit ProfileTable(ProfileSchema schema) : schema_(std::move(schema)) {}
+  explicit ProfileTable(ProfileSchema schema)
+      : schema_(std::move(schema)),
+        missing_profile_{std::vector<std::string>(schema_.num_attributes(),
+                                                  kMissingValue)} {}
 
   const ProfileSchema& schema() const { return schema_; }
 

@@ -167,12 +167,17 @@ class StrangerEncodeCache {
                         const std::vector<UserId>& strangers);
 
   /// Copies the code rows of `users` (in order) into `out`, resized to
-  /// users.size() * num_attributes. False if any user has no cached row
-  /// (caller falls back to a direct encode).
+  /// users.size() * num_attributes. False if any user has no cached row.
   [[nodiscard]] bool GatherRows(const std::vector<UserId>& users,
                                 std::vector<uint32_t>* out) const;
 
   bool empty() const { return !encoded_.has_value(); }
+  /// True when the last Refresh ran against `profiles` at its current
+  /// mutation epoch (the rows reflect the table as it is now).
+  bool FreshFor(const ProfileTable& profiles) const {
+    return encoded_.has_value() && source_ == &profiles &&
+           source_epoch_ == profiles.mutation_epoch();
+  }
   size_t num_rows() const { return encoded_ ? encoded_->num_rows() : 0; }
   size_t num_attributes() const {
     return encoded_ ? encoded_->num_attributes() : 0;

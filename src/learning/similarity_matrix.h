@@ -46,7 +46,7 @@ class SimilarityMatrix {
   /// lower-triangle store appends in place, so existing entries are
   /// untouched. A compact view stays valid: writes into the new rows are
   /// staged (see Set()) until MergeCompact() folds them in. This is the
-  /// stranger-arrival path of the RiskSession crawler flow.
+  /// stranger-arrival path of the RiskService crawler flow.
   void AppendRows(size_t count);
 
   /// Folds staged rows/edges into the compact view with one O(entries)

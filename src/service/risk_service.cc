@@ -291,21 +291,14 @@ Result<RiskReport> RiskService::AssessLocked(OwnerState* state,
   RecordingOracle recording(oracle, &state->known_labels);
   const PoolLearner::KnownLabels* prior =
       state->last_scores.empty() ? nullptr : &state->last_scores;
-  bool any_carry = config_.carry_learners || config_.carry_pool_partition ||
-                   config_.carry_encoded_tables;
-  state->carry.use_learners = config_.carry_learners;
-  state->carry.use_partition = config_.carry_pool_partition;
-  state->carry.use_encode = config_.carry_encoded_tables;
-  Result<RiskReport> report =
-      any_carry
-          ? engine_.AssessIncremental(
-                *state->graph, *state->profiles, *state->visibility,
-                state->owner, state->strangers, &recording, rng,
-                &state->known_labels, prior, &state->carry)
-          : engine_.AssessStrangers(*state->graph, *state->profiles,
-                                    *state->visibility, state->owner,
-                                    state->strangers, &recording, rng,
-                                    &state->known_labels, prior);
+  Result<RiskReport> report = engine_.Assess(
+      *state->graph, *state->profiles, *state->visibility, state->owner,
+      state->strangers, &recording, rng, &state->known_labels, prior,
+      &state->carry);
+  // Rebuild-per-tick semantics (carry_learners off) drop the harvested
+  // learners, so the next tick has none to resume; the partition and
+  // encode layers are pure memoization and always stay.
+  if (!config_.carry_learners) state->carry.learners.Clear();
   if (!report.ok()) return report;
   // Remember this tick's converged scores so the next tick seeds its
   // solves from them instead of the label mean.
@@ -318,21 +311,17 @@ Result<RiskReport> RiskService::AssessLocked(OwnerState* state,
     ++stats_.assessments_run;
     stats_.pools_carried += report.value().assessment.pools_carried;
     const CarryTelemetry& telemetry = report.value().carry;
-    if (config_.carry_pool_partition) {
-      if (telemetry.partition_reused) {
-        ++stats_.partition_hits;
-      } else {
-        ++stats_.partition_misses;
-      }
+    if (telemetry.partition_reused) {
+      ++stats_.partition_hits;
+    } else {
+      ++stats_.partition_misses;
     }
-    if (config_.carry_encoded_tables) {
-      if (telemetry.encode_reused) {
-        ++stats_.encode_hits;
-      } else {
-        ++stats_.encode_misses;
-      }
-      stats_.encode_rows_appended += telemetry.encode_rows_appended;
+    if (telemetry.encode_reused) {
+      ++stats_.encode_hits;
+    } else {
+      ++stats_.encode_misses;
     }
+    stats_.encode_rows_appended += telemetry.encode_rows_appended;
   }
   return report;
 }
@@ -419,17 +408,15 @@ Result<RiskReport> RiskService::AssessNow(UserId owner, LabelOracle* oracle,
     return Status::NotFound(StrFormat("owner %u is not registered", owner));
   }
   std::lock_guard<std::mutex> lock(state->mutex);
-  // Cold read-through: identical inputs to a batch
-  // RiskEngine::AssessStrangers call, no carry, no warm seed, and no
-  // recording — the owner's state is untouched. The engine fans out on
+  // Cold read-through: RiskEngine::Assess with no carry, no warm seed,
+  // and no recording — the owner's state is untouched. The engine fans out on
   // its own pool, which RiskServiceConfig::Validate guarantees is
   // distinct from the service's drain pool.
   // SIGHT_ANALYZER_OK(lock-discipline): engine pool distinct by Validate.
-  return engine_.AssessStrangers(
+  return engine_.Assess(
       *state->graph, *state->profiles, *state->visibility, owner,
       state->strangers, oracle, rng,
-      state->known_labels.empty() ? nullptr : &state->known_labels,
-      /*prior_scores=*/nullptr);
+      state->known_labels.empty() ? nullptr : &state->known_labels);
 }
 
 Result<RiskReport> RiskService::AssessSync(UserId owner, LabelOracle* oracle,

@@ -1,13 +1,11 @@
 // RiskService: the resident, owner-sharded front door of the Sight
 // library.
 //
-// RiskEngine and RiskSession are batch objects: every assessment
-// rebuilds pool codecs, frequency tables, and learners from scratch for
-// one owner. A crawler serving many owners wants the opposite shape —
-// one long-lived server object that carries per-owner state
-// (ProfileCodecs, EncodedProfileTables, PoolLearners, and their
-// HarmonicSolveStates) across ticks, accepts events from any thread,
-// and assesses in the background:
+// A crawler serving many owners wants one long-lived server object that
+// carries per-owner state (the AssessCarry of RiskEngine: finished
+// PoolLearners, the pool partition, and the owner-level encoded
+// stranger table) across ticks, accepts events from any thread, and
+// assesses in the background:
 //
 //   RiskServiceConfig config;                     // engine defaults
 //   auto service = RiskService::Create(std::move(config)).value();
@@ -30,12 +28,10 @@
 // A full queue either rejects (Status::ResourceExhausted) or blocks the
 // submitter, per QueueFullPolicy.
 //
-// The synchronous paths remain: `AssessNow` is a pure read-through that
-// is bitwise-identical to a cold batch `RiskEngine::AssessStrangers`
-// call over the owner's current state, and `AssessSync` is the warm
-// in-place tick (records labels, seeds next solves, reuses carried
-// learners) that `RiskSession` adapts onto. See DESIGN.md §13 for the
-// architecture and the old->new API map.
+// The synchronous paths: `AssessNow` is a pure read-through that runs
+// RiskEngine::Assess with no carry over the owner's current state, and
+// `AssessSync` is the warm in-place tick (records labels, seeds next
+// solves, reuses the carry). See DESIGN.md §13.
 
 #ifndef SIGHT_SERVICE_RISK_SERVICE_H_
 #define SIGHT_SERVICE_RISK_SERVICE_H_
@@ -82,7 +78,7 @@ struct RiskServiceConfig {
   QueueFullPolicy queue_full_policy = QueueFullPolicy::kReject;
   /// Background workers draining shard queues. 0 = hardware
   /// concurrency. The pool is created lazily on the first Submit, so
-  /// purely synchronous users (RiskSession) never spawn a thread.
+  /// purely synchronous users never spawn a thread.
   /// Ignored when `thread_pool` is set.
   size_t num_threads = 1;
   /// Optional caller-owned worker pool (non-owning; must outlive the
@@ -91,24 +87,14 @@ struct RiskServiceConfig {
   /// on the pool they run inside of.
   ThreadPool* thread_pool = nullptr;
   /// Carry finished PoolLearners across ticks for pools whose member
-  /// list and owner labels are unchanged (skips the encode/matrix/round
-  /// rebuild for them). Stale carried state is rejected by fingerprint
-  /// checks, never silently reused. Applies to background drains and
-  /// AssessSync; AssessNow is always cold.
+  /// list and owner labels are unchanged (skips the matrix and round
+  /// rebuild for them, and asks the owner nothing new there). Stale
+  /// carried state is rejected by fingerprint checks, never silently
+  /// reused. false = rebuild every pool's learner each tick. The pool
+  /// partition and the encoded stranger table are always carried: they
+  /// are pure memoization (DESIGN.md §14). Applies to background drains
+  /// and AssessSync; AssessNow never carries.
   bool carry_learners = true;
-  /// Carry the NS/NSG/Squeezer pool partition across ticks: an
-  /// unchanged stranger set reuses it outright, a grown one routes only
-  /// the new suffix through the carried per-group squeezers
-  /// (DESIGN.md §14). Fingerprinted on the owner's tables and their
-  /// mutation epochs; any mismatch rebuilds cold. Bitwise-identical
-  /// either way.
-  bool carry_pool_partition = true;
-  /// Carry one owner-level ProfileCodec + EncodedProfileTable across
-  /// ticks: each tick encodes only newly discovered strangers and pools
-  /// gather their rows from the shared table instead of re-encoding
-  /// (DESIGN.md §14). Same fingerprint/fallback rules; bitwise-identical
-  /// either way.
-  bool carry_encoded_tables = true;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -194,23 +180,24 @@ class RiskService {
   void Shutdown();
 
   /// Synchronous cold assessment of the owner's current stranger set:
-  /// bitwise-identical to RiskEngine::AssessStrangers over the same
-  /// strangers/known labels/oracle/rng — no learner carry, no score
-  /// seeding, and no state mutation (answers are NOT recorded; use
-  /// AssessSync or Submit for that). Blocks new events for this owner
-  /// while it runs.
+  /// RiskEngine::Assess over the same strangers/known labels/oracle/rng
+  /// with no carry — no learner reuse, no score seeding, and no state
+  /// mutation (answers are NOT recorded; use AssessSync or Submit for
+  /// that). Blocks new events for this owner while it runs.
   [[nodiscard]] Result<RiskReport> AssessNow(UserId owner, LabelOracle* oracle,
                                              Rng* rng) const;
 
   /// Synchronous warm tick: assesses with the owner's accumulated
   /// labels and prior scores, records every new oracle answer, seeds
   /// the next tick, reuses carried learners (per config), and publishes
-  /// a snapshot. This is RiskSession::Assess, service-resident.
+  /// a snapshot.
   [[nodiscard]] Result<RiskReport> AssessSync(UserId owner, LabelOracle* oracle,
                                               Rng* rng);
 
   /// Synchronous mutators (the Submit path applies the same operations
-  /// from the background). Same validation as RiskSession.
+  /// from the background). AddStrangers ignores duplicates and rejects
+  /// unknown users and the owner; ImportLabels also discovers labeled
+  /// strangers and, on error, imports nothing.
   [[nodiscard]] Status AddStrangers(UserId owner,
                                     const std::vector<UserId>& discovered);
   [[nodiscard]] Status DiscoverAllStrangers(UserId owner);
@@ -234,11 +221,11 @@ class RiskService {
     /// Sum of RiskReport.assessment.pools_carried across runs.
     size_t pools_carried = 0;
     /// Warm assessments whose carried pool partition was reused /
-    /// rebuilt cold (only counted while carry_pool_partition is on).
+    /// rebuilt cold.
     size_t partition_hits = 0;
     size_t partition_misses = 0;
     /// Warm assessments whose carried encode was appended to / rebuilt
-    /// cold (only counted while carry_encoded_tables is on).
+    /// cold.
     size_t encode_hits = 0;
     size_t encode_misses = 0;
     /// Stranger rows the encode stage actually encoded across runs.
@@ -265,7 +252,7 @@ class RiskService {
     PoolLearner::KnownLabels last_scores;
     /// Resident cross-tick caches: finished learners, the pool
     /// partition, and the owner-level encoded stranger table
-    /// (DESIGN.md §14). The use_* flags mirror the service config.
+    /// (DESIGN.md §14).
     AssessCarry carry;
     uint64_t next_version = 1;
     std::shared_ptr<const AssessmentSnapshot> snapshot;

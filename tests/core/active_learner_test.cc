@@ -351,10 +351,42 @@ TEST(ActiveLearnerTest, CreateValidatesBenefitsShape) {
   pools.strangers = {1, 2};
   pools.network_similarities = {0.1, 0.2};
   ProfileTable profiles(ProfileSchema::Create({"a"}).value());
+  StrangerEncodeCache encode;
+  encode.Refresh(profiles, pools.strangers);
   LearnerParts parts;
-  EXPECT_FALSE(ActiveLearner::Create(pools, profiles, {0.5}, parts.config,
-                                     &parts.classifier, &parts.sampler)
+  EXPECT_FALSE(ActiveLearner::Create(pools, profiles, encode, {0.5},
+                                     parts.config, &parts.classifier,
+                                     &parts.sampler)
                    .ok());
+}
+
+TEST(ActiveLearnerTest, CreateRequiresAFreshCoveringEncode) {
+  ProfileTable profiles(ProfileSchema::Create({"g"}).value());
+  for (UserId u = 0; u < 4; ++u) {
+    ASSERT_TRUE(profiles.Set(u, Profile{{"x"}}).ok());
+  }
+  PoolSet pools;
+  pools.strangers = {0, 1, 2, 3};
+  pools.network_similarities = {0.1, 0.1, 0.1, 0.1};
+  pools.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  LearnerParts parts;
+  auto create = [&](const StrangerEncodeCache& encode) {
+    return ActiveLearner::Create(pools, profiles, encode,
+                                 std::vector<double>(4, 0.0), parts.config,
+                                 &parts.classifier, &parts.sampler);
+  };
+
+  // Never refreshed.
+  StrangerEncodeCache encode;
+  EXPECT_EQ(create(encode).status().code(), StatusCode::kFailedPrecondition);
+  // Refreshed over a list missing pool members.
+  encode.Refresh(profiles, {0, 1});
+  EXPECT_EQ(create(encode).status().code(), StatusCode::kFailedPrecondition);
+  // Covering, then stale after a profile edit.
+  encode.Refresh(profiles, pools.strangers);
+  EXPECT_TRUE(create(encode).ok());
+  ASSERT_TRUE(profiles.SetValue(3, 0, "y").ok());
+  EXPECT_EQ(create(encode).status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ActiveLearnerTest, RunsAllPoolsAndAggregates) {
@@ -375,9 +407,11 @@ TEST(ActiveLearnerTest, RunsAllPoolsAndAggregates) {
   b.nsg_index = 5;
   pools.pools = {a, b};
 
+  StrangerEncodeCache encode;
+  encode.Refresh(profiles, pools.strangers);
   LearnerParts parts;
   auto learner =
-      ActiveLearner::Create(pools, profiles,
+      ActiveLearner::Create(pools, profiles, encode,
                             std::vector<double>(6, 0.25), parts.config,
                             &parts.classifier, &parts.sampler)
           .value();
@@ -421,8 +455,10 @@ TEST(ActiveLearnerTest, RoundRecordsCarryPoolIndices) {
   pools.strangers = {0, 1, 2, 3};
   pools.network_similarities = {0.1, 0.1, 0.1, 0.1};
   pools.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  StrangerEncodeCache encode;
+  encode.Refresh(profiles, pools.strangers);
   LearnerParts parts;
-  auto learner = ActiveLearner::Create(pools, profiles,
+  auto learner = ActiveLearner::Create(pools, profiles, encode,
                                        std::vector<double>(4, 0.0),
                                        parts.config, &parts.classifier,
                                        &parts.sampler)

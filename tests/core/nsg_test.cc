@@ -11,6 +11,12 @@ TEST(NsgTest, BuildValidatesInput) {
   EXPECT_FALSE(NetworkSimilarityGroups::Build(10, {1}, {1.5}).ok());
   EXPECT_FALSE(NetworkSimilarityGroups::Build(10, {1}, {-0.1}).ok());
   EXPECT_TRUE(NetworkSimilarityGroups::Build(10, {}, {}).ok());
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(0.5, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(1.5, 10).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(-0.1, 10).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(NsgTest, AssignsByDefinitionOneRanges) {
@@ -23,12 +29,19 @@ TEST(NsgTest, AssignsByDefinitionOneRanges) {
   EXPECT_EQ(nsg.group_of(1), 0u);
   EXPECT_EQ(nsg.group_of(2), 1u);  // boundary belongs to the upper group
   EXPECT_EQ(nsg.group_of(3), 9u);
+  // The same rule, one value at a time.
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(0.0, 10).value(), 0u);
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(0.05, 10).value(), 0u);
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(0.1, 10).value(), 1u);
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(0.95, 10).value(), 9u);
 }
 
 TEST(NsgTest, SimilarityOneGoesToLastGroup) {
   auto nsg = NetworkSimilarityGroups::Build(4, {7}, {1.0}).value();
   EXPECT_EQ(nsg.group_of(0), 3u);
   EXPECT_EQ(nsg.group(3), (std::vector<UserId>{7}));
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(1.0, 4).value(), 3u);
+  EXPECT_EQ(NetworkSimilarityGroups::GroupOf(1.0, 1).value(), 0u);
 }
 
 TEST(NsgTest, GroupsPartitionStrangers) {

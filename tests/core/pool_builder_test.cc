@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "clustering/squeezer.h"
+#include "core/nsg.h"
 #include "graph/algorithms.h"
 #include "graph/profile.h"
 #include "graph/social_graph.h"
@@ -206,9 +208,42 @@ void ExpectSamePoolSet(const PoolSet& got, const PoolSet& want) {
   }
 }
 
+// Definition 3 assembled from its parts — NS, NetworkSimilarityGroups,
+// and one Squeezer::Cluster per group — independently of the builder's
+// carried partition.
+PoolSet ReferencePools(const PoolBuilderConfig& config, const Fixture& fx,
+                       const std::vector<UserId>& strangers) {
+  PoolSet result;
+  result.strangers = strangers;
+  auto ns = NetworkSimilarity::Create(config.ns_config).value();
+  result.network_similarities =
+      ns.ComputeBatch(fx.graph, fx.owner, strangers, nullptr);
+  auto nsg = NetworkSimilarityGroups::Build(config.alpha, strangers,
+                                            result.network_similarities)
+                 .value();
+  SqueezerConfig sq_config;
+  sq_config.threshold = config.beta;
+  sq_config.weights = config.attribute_weights;
+  auto squeezer = Squeezer::Create(fx.profiles.schema(), sq_config).value();
+  for (size_t x = 0; x < nsg.alpha(); ++x) {
+    if (nsg.group(x).empty()) continue;
+    if (config.strategy == PoolStrategy::kNetworkOnly) {
+      result.pools.push_back({nsg.group(x), x, 0});
+      continue;
+    }
+    Clustering clustering =
+        squeezer.Cluster(fx.profiles, nsg.group(x)).value();
+    for (size_t c = 0; c < clustering.num_clusters(); ++c) {
+      result.pools.push_back({clustering.clusters[c], x, c});
+    }
+  }
+  return result;
+}
+
 TEST(PoolBuilderTest, CachedBuildMatchesColdOnEveryPath) {
   // Identical set, grown set, and cold rebuild must all be bitwise-equal
-  // to BuildForStrangers over the same list, for both strategies.
+  // to a build without a cache over the same list, and both to the
+  // reference assembled from NSG + Squeezer, for both strategies.
   for (PoolStrategy strategy :
        {PoolStrategy::kNetworkAndProfile, PoolStrategy::kNetworkOnly}) {
     Fixture fx;
@@ -220,16 +255,18 @@ TEST(PoolBuilderTest, CachedBuildMatchesColdOnEveryPath) {
         builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, first)
             .value();
     auto warm1 = builder
-                     .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                              first, &cache)
+                     .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                        first, &cache)
                      .value();
+    ExpectSamePoolSet(cold1,
+                      ReferencePools(DefaultConfig(strategy), fx, first));
     ExpectSamePoolSet(warm1, cold1);
     EXPECT_EQ(cache.stats().misses, 1u);
 
     // Identical set: reused outright.
     auto warm2 = builder
-                     .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                              first, &cache)
+                     .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                        first, &cache)
                      .value();
     ExpectSamePoolSet(warm2, cold1);
     EXPECT_EQ(cache.stats().hits_identical, 1u);
@@ -240,9 +277,11 @@ TEST(PoolBuilderTest, CachedBuildMatchesColdOnEveryPath) {
         builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, grown)
             .value();
     auto warm3 = builder
-                     .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                              grown, &cache)
+                     .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                        grown, &cache)
                      .value();
+    ExpectSamePoolSet(cold2,
+                      ReferencePools(DefaultConfig(strategy), fx, grown));
     ExpectSamePoolSet(warm3, cold2);
     EXPECT_EQ(cache.stats().hits_grown, 1u);
     EXPECT_EQ(cache.num_strangers(), 6u);
@@ -257,8 +296,7 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
   PoolPartitionCache cache;
   std::vector<UserId> strangers = {5, 6, 7, 8};
   (void)builder
-      .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner, strangers,
-                               &cache)
+      .BuildForStrangers(fx.graph, fx.profiles, fx.owner, strangers, &cache)
       .value();
 
   // A graph edit bumps the epoch: next build is a cold rebuild that sees
@@ -268,9 +306,10 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
       builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, strangers)
           .value();
   auto warm = builder
-                  .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                           strangers, &cache)
+                  .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                     strangers, &cache)
                   .value();
+  ExpectSamePoolSet(cold, ReferencePools(builder.config(), fx, strangers));
   ExpectSamePoolSet(warm, cold);
   EXPECT_EQ(cache.stats().misses, 2u);
 
@@ -280,9 +319,10 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
       builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, strangers)
           .value();
   auto warm2 = builder
-                   .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                            strangers, &cache)
+                   .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                      strangers, &cache)
                    .value();
+  ExpectSamePoolSet(cold2, ReferencePools(builder.config(), fx, strangers));
   ExpectSamePoolSet(warm2, cold2);
   EXPECT_EQ(cache.stats().misses, 3u);
 
@@ -292,8 +332,8 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
       builder.BuildForStrangers(fx.graph, fx.profiles, fx.owner, reordered)
           .value();
   auto warm3 = builder
-                   .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                            reordered, &cache)
+                   .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                      reordered, &cache)
                    .value();
   ExpectSamePoolSet(warm3, cold3);
   EXPECT_EQ(cache.stats().misses, 4u);
@@ -307,8 +347,8 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
                                       reordered)
                    .value();
   auto warm4 = other_builder
-                   .BuildForStrangersCached(fx.graph, fx.profiles, fx.owner,
-                                            reordered, &cache)
+                   .BuildForStrangers(fx.graph, fx.profiles, fx.owner,
+                                      reordered, &cache)
                    .value();
   ExpectSamePoolSet(warm4, cold4);
   EXPECT_EQ(cache.stats().misses, 5u);

@@ -9,6 +9,8 @@
 #include "graph/profile.h"
 #include "graph/social_graph.h"
 #include "graph/visibility.h"
+#include "sim/facebook_generator.h"
+#include "sim/owner_model.h"
 
 namespace sight {
 namespace {
@@ -86,14 +88,16 @@ TEST(RiskEngineTest, CreateValidatesConfig) {
   EXPECT_TRUE(RiskEngine::Create(RiskEngineConfig{}).ok());
 }
 
-TEST(RiskEngineTest, AssessOwnerLabelsEveryStranger) {
+TEST(RiskEngineTest, AssessLabelsEveryTwoHopStranger) {
   World world;
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   SimilarityOracle oracle;
   Rng rng(42);
   auto report = engine
-                    .AssessOwner(world.graph, world.profiles,
-                                 world.visibility, world.owner, &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner,
+                            TwoHopStrangers(world.graph, world.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.num_strangers, 40u);
   EXPECT_EQ(report.assessment.strangers.size(), 40u);
@@ -118,8 +122,10 @@ TEST(RiskEngineTest, QueriesFewerThanAllStrangersOnSeparablePools) {
   SimilarityOracle oracle;
   Rng rng(7);
   auto report = engine
-                    .AssessOwner(world.graph, world.profiles,
-                                 world.visibility, world.owner, &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner,
+                            TwoHopStrangers(world.graph, world.owner).value(),
+                            &oracle, &rng)
                     .value();
   // The oracle depends only on NS, which is constant within a pool (same
   // mutual structure), so pools converge fast.
@@ -133,8 +139,9 @@ TEST(RiskEngineTest, DeterministicGivenSeed) {
     SimilarityOracle oracle;
     Rng rng(seed);
     return engine
-        .AssessOwner(world.graph, world.profiles, world.visibility,
-                     world.owner, &oracle, &rng)
+        .Assess(world.graph, world.profiles, world.visibility, world.owner,
+                TwoHopStrangers(world.graph, world.owner).value(), &oracle,
+                &rng)
         .value();
   };
   auto r1 = run(3);
@@ -158,8 +165,9 @@ TEST(RiskEngineTest, BaselineClassifiersRunEndToEnd) {
     Rng rng(11);
     auto report =
         engine
-            .AssessOwner(world.graph, world.profiles, world.visibility,
-                         world.owner, &oracle, &rng)
+            .Assess(world.graph, world.profiles, world.visibility, world.owner,
+                    TwoHopStrangers(world.graph, world.owner).value(), &oracle,
+                    &rng)
             .value();
     EXPECT_EQ(report.assessment.strangers.size(), 40u);
   }
@@ -173,8 +181,10 @@ TEST(RiskEngineTest, CmnClassifierRunsEndToEnd) {
   SimilarityOracle oracle;
   Rng rng(29);
   auto report = engine
-                    .AssessOwner(world.graph, world.profiles,
-                                 world.visibility, world.owner, &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner,
+                            TwoHopStrangers(world.graph, world.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), 40u);
   for (const StrangerAssessment& sa : report.assessment.strangers) {
@@ -192,8 +202,10 @@ TEST(RiskEngineTest, SparsifiedClassifierGraphRunsEndToEnd) {
   SimilarityOracle oracle;
   Rng rng(31);
   auto report = engine
-                    .AssessOwner(world.graph, world.profiles,
-                                 world.visibility, world.owner, &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner,
+                            TwoHopStrangers(world.graph, world.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), 40u);
 }
@@ -206,8 +218,10 @@ TEST(RiskEngineTest, UncertaintySamplerRunsEndToEnd) {
   SimilarityOracle oracle;
   Rng rng(13);
   auto report = engine
-                    .AssessOwner(world.graph, world.profiles,
-                                 world.visibility, world.owner, &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner,
+                            TwoHopStrangers(world.graph, world.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), 40u);
 }
@@ -220,15 +234,17 @@ TEST(RiskEngineTest, NetworkOnlyPoolsRunEndToEnd) {
   SimilarityOracle oracle;
   Rng rng(37);
   auto report = engine
-                    .AssessOwner(world.graph, world.profiles,
-                                 world.visibility, world.owner, &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner,
+                            TwoHopStrangers(world.graph, world.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), 40u);
   // NSP pools: one per occupied NSG, hence no more than alpha pools.
   EXPECT_LE(report.num_pools, config.pools.alpha);
 }
 
-TEST(RiskEngineTest, AssessStrangersSubset) {
+TEST(RiskEngineTest, AssessSubsetOfStrangers) {
   World world;
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   SimilarityOracle oracle;
@@ -236,9 +252,8 @@ TEST(RiskEngineTest, AssessStrangersSubset) {
   auto all = TwoHopStrangers(world.graph, world.owner).value();
   std::vector<UserId> subset(all.begin(), all.begin() + 10);
   auto report = engine
-                    .AssessStrangers(world.graph, world.profiles,
-                                     world.visibility, world.owner, subset,
-                                     &oracle, &rng)
+                    .Assess(world.graph, world.profiles, world.visibility,
+                            world.owner, subset, &oracle, &rng)
                     .value();
   EXPECT_EQ(report.num_strangers, 10u);
   EXPECT_EQ(report.assessment.strangers.size(), 10u);
@@ -249,10 +264,14 @@ TEST(RiskEngineTest, UnknownOwnerFails) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   SimilarityOracle oracle;
   Rng rng(19);
-  EXPECT_FALSE(engine
-                   .AssessOwner(world.graph, world.profiles, world.visibility,
-                                9999, &oracle, &rng)
-                   .ok());
+  EXPECT_FALSE(TwoHopStrangers(world.graph, 9999).ok());
+  auto strangers = TwoHopStrangers(world.graph, world.owner).value();
+  EXPECT_EQ(engine
+                .Assess(world.graph, world.profiles, world.visibility, 9999,
+                        strangers, &oracle, &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(RiskEngineTest, NullOracleFails) {
@@ -260,9 +279,175 @@ TEST(RiskEngineTest, NullOracleFails) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng rng(23);
   EXPECT_FALSE(engine
-                   .AssessOwner(world.graph, world.profiles, world.visibility,
-                                world.owner, nullptr, &rng)
+                   .Assess(world.graph, world.profiles, world.visibility,
+                           world.owner,
+                           TwoHopStrangers(world.graph, world.owner).value(),
+                           nullptr, &rng)
                    .ok());
+}
+
+TEST(RiskEngineTest, AssessWithoutCarryReportsZeroTelemetry) {
+  // The cold path runs on a local carry, but the telemetry describes the
+  // caller's carry: with none, every field stays zero and no pool is
+  // carried, however often the engine runs.
+  World world;
+  auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
+  auto strangers = TwoHopStrangers(world.graph, world.owner).value();
+  auto run = [&](AssessCarry* carry) {
+    SimilarityOracle oracle;
+    Rng rng(5);
+    return engine
+        .Assess(world.graph, world.profiles, world.visibility, world.owner,
+                strangers, &oracle, &rng, nullptr, nullptr, carry)
+        .value();
+  };
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    RiskReport cold = run(nullptr);
+    EXPECT_FALSE(cold.carry.partition_reused);
+    EXPECT_EQ(cold.carry.partition_new_strangers, 0u);
+    EXPECT_FALSE(cold.carry.encode_reused);
+    EXPECT_EQ(cold.carry.encode_rows_appended, 0u);
+    EXPECT_EQ(cold.assessment.pools_carried, 0u);
+  }
+  // A fresh caller carry reports the work it absorbed.
+  AssessCarry carry;
+  RiskReport first = run(&carry);
+  EXPECT_FALSE(first.carry.partition_reused);
+  EXPECT_EQ(first.carry.partition_new_strangers, strangers.size());
+  EXPECT_EQ(first.carry.encode_rows_appended, strangers.size());
+  EXPECT_EQ(first.assessment.pools_carried, 0u);
+}
+
+// Exact (bitwise for the doubles) equality of two reports, carry
+// telemetry aside.
+void ExpectReportsIdentical(const RiskReport& a, const RiskReport& b) {
+  EXPECT_EQ(a.num_strangers, b.num_strangers);
+  EXPECT_EQ(a.num_pools, b.num_pools);
+  EXPECT_EQ(a.pool_sizes, b.pool_sizes);
+  const AssessmentResult& x = a.assessment;
+  const AssessmentResult& y = b.assessment;
+  EXPECT_EQ(x.total_queries, y.total_queries);
+  EXPECT_EQ(x.pools_total, y.pools_total);
+  EXPECT_EQ(x.pools_converged, y.pools_converged);
+  EXPECT_EQ(x.pools_exhausted, y.pools_exhausted);
+  EXPECT_EQ(x.pools_round_limit, y.pools_round_limit);
+  EXPECT_EQ(x.pools_carried, y.pools_carried);
+  EXPECT_EQ(x.mean_rounds, y.mean_rounds);
+  EXPECT_EQ(x.validation_matches, y.validation_matches);
+  EXPECT_EQ(x.validation_total, y.validation_total);
+  ASSERT_EQ(x.rounds.size(), y.rounds.size());
+  for (size_t i = 0; i < x.rounds.size(); ++i) {
+    EXPECT_EQ(x.rounds[i].pool_index, y.rounds[i].pool_index);
+    EXPECT_EQ(x.rounds[i].newly_labeled, y.rounds[i].newly_labeled);
+    EXPECT_EQ(x.rounds[i].rmse, y.rounds[i].rmse);
+    EXPECT_EQ(x.rounds[i].solve_iterations, y.rounds[i].solve_iterations);
+  }
+  ASSERT_EQ(x.strangers.size(), y.strangers.size());
+  for (size_t i = 0; i < x.strangers.size(); ++i) {
+    const StrangerAssessment& sa = x.strangers[i];
+    const StrangerAssessment& sb = y.strangers[i];
+    EXPECT_EQ(sa.stranger, sb.stranger);
+    EXPECT_EQ(sa.pool_index, sb.pool_index);
+    EXPECT_EQ(sa.network_similarity, sb.network_similarity);
+    EXPECT_EQ(sa.benefit, sb.benefit);
+    EXPECT_EQ(sa.predicted_score, sb.predicted_score);
+    EXPECT_EQ(sa.predicted_label, sb.predicted_label);
+    EXPECT_EQ(sa.owner_labeled, sb.owner_labeled);
+  }
+}
+
+// One owner's warm state as RiskService keeps it: the carry, every
+// answer given so far, and the previous tick's scores.
+struct WarmArm {
+  AssessCarry carry;
+  PoolLearner::KnownLabels known;
+  PoolLearner::KnownLabels last_scores;
+  Rng rng{73};
+
+  RiskReport Tick(const RiskEngine& engine, const sim::OwnerDataset& ds,
+                  const std::vector<UserId>& strangers,
+                  sim::OwnerModel* model) {
+    class Recording : public LabelOracle {
+     public:
+      Recording(sim::OwnerModel* model, PoolLearner::KnownLabels* known)
+          : model_(model), known_(known) {}
+      RiskLabel QueryLabel(UserId s, double similarity,
+                           double benefit) override {
+        RiskLabel label = model_->QueryLabel(s, similarity, benefit);
+        (*known_)[s] = RiskLabelValue(label);
+        return label;
+      }
+
+     private:
+      sim::OwnerModel* model_;
+      PoolLearner::KnownLabels* known_;
+    } oracle(model, &known);
+    RiskReport report =
+        engine
+            .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner, strangers,
+                    &oracle, &rng, &known,
+                    last_scores.empty() ? nullptr : &last_scores, &carry)
+            .value();
+    last_scores.clear();
+    for (const StrangerAssessment& sa : report.assessment.strangers) {
+      last_scores[sa.stranger] = sa.predicted_score;
+    }
+    return report;
+  }
+};
+
+TEST(RiskEngineTest, ResidentCachesAreBitwiseNeutral) {
+  // The partition and encode carries are pure memoization: a trace of
+  // warm ticks (learners carried in both arms) gives bitwise the same
+  // report every tick whether those two layers are carried or cleared
+  // before each tick, including across an upstream profile edit that
+  // invalidates every fingerprint. Both arms see identical table state.
+  sim::GeneratorConfig gen_config;
+  gen_config.num_friends = 40;
+  gen_config.num_strangers = 200;
+  gen_config.num_communities = 4;
+  auto gen = sim::FacebookGenerator::Create(gen_config).value();
+  Rng gen_rng(18);
+  sim::OwnerDataset ds =
+      gen.Generate({sim::Gender::kMale, sim::Locale::kTR}, &gen_rng).value();
+  RiskEngineConfig config;
+  config.pools.attribute_weights = sim::PaperAttributeWeights();
+  auto engine = RiskEngine::Create(config).value();
+  Rng attitude_rng(71);
+  sim::OwnerAttitude attitude = sim::SampleOwnerAttitude(&attitude_rng);
+  auto cached_model =
+      sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility).value();
+  auto cleared_model =
+      sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility).value();
+
+  WarmArm cached;
+  WarmArm cleared;
+  size_t half = ds.strangers.size() / 2;
+  std::vector<UserId> strangers;
+  size_t carried_pools = 0;
+  auto tick = [&](size_t upto, bool expect_reuse) {
+    strangers.assign(ds.strangers.begin(),
+                     ds.strangers.begin() + static_cast<ptrdiff_t>(upto));
+    cleared.carry.partition.Clear();
+    cleared.carry.encode.Clear();
+    RiskReport a = cached.Tick(engine, ds, strangers, &cached_model);
+    RiskReport b = cleared.Tick(engine, ds, strangers, &cleared_model);
+    ExpectReportsIdentical(a, b);
+    EXPECT_EQ(a.carry.partition_reused, expect_reuse);
+    EXPECT_EQ(a.carry.encode_reused, expect_reuse);
+    EXPECT_FALSE(b.carry.partition_reused);
+    EXPECT_FALSE(b.carry.encode_reused);
+    EXPECT_EQ(b.carry.encode_rows_appended, upto);
+    carried_pools += a.assessment.pools_carried;
+  };
+  tick(half, false);                // cold start
+  tick(ds.strangers.size(), true);  // grown set: suffix-only reuse
+  tick(ds.strangers.size(), true);  // unchanged set: full reuse
+  EXPECT_GT(carried_pools, 0u);
+  // Upstream edit: every fingerprint breaks, and both arms still agree.
+  ASSERT_TRUE(ds.profiles.SetValue(ds.strangers[0], 0, "female").ok());
+  tick(ds.strangers.size(), false);
+  tick(ds.strangers.size(), true);
 }
 
 }  // namespace

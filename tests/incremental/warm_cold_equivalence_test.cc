@@ -124,7 +124,7 @@ TEST_P(WarmColdEquivalenceTest, FullRunHistoriesMatch) {
 
 TEST_P(WarmColdEquivalenceTest, SeededRunHistoriesMatch) {
   const EquivalenceCase& c = GetParam();
-  // Carry-over owner labels plus previous-tick scores, like a RiskSession
+  // Carry-over owner labels plus previous-tick scores, like a RiskService
   // second tick.
   PoolLearner::KnownLabels known_labels;
   known_labels[100] = 1.0;

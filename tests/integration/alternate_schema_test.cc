@@ -75,7 +75,8 @@ TEST(AlternateSchemaTest, EngineRunsOnTwitterLikeData) {
   FollowerOracle oracle(&profiles);
   Rng run_rng(7);
   auto report =
-      engine.AssessOwner(graph, profiles, visibility, 0, &oracle, &run_rng)
+      engine.Assess(graph, profiles, visibility, 0,
+                    TwoHopStrangers(graph, 0).value(), &oracle, &run_rng)
           .value();
   EXPECT_EQ(report.assessment.strangers.size(), 60u);
   for (const StrangerAssessment& sa : report.assessment.strangers) {
@@ -98,8 +99,9 @@ TEST(AlternateSchemaTest, FullPipelineOnGeneratedTwitterNetwork) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng run_rng(13);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &run_rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &run_rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), ds.strangers.size());
   EXPECT_LT(report.assessment.total_queries, ds.strangers.size());

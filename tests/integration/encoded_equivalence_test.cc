@@ -394,9 +394,11 @@ TEST(EncodedEquivalenceTest, LearnerPredictionsMatchStringPath) {
   ActiveLearnerConfig config;
 
   // Encoded path: the production ActiveLearner (its matrix fill runs on
-  // the dictionary-encoded view).
-  auto learner = ActiveLearner::Create(pools, ds.profiles, benefits, config,
-                                       &classifier, &sampler)
+  // rows gathered from the owner-level dictionary-encoded table).
+  StrangerEncodeCache encode;
+  encode.Refresh(ds.profiles, pools.strangers);
+  auto learner = ActiveLearner::Create(pools, ds.profiles, encode, benefits,
+                                       config, &classifier, &sampler)
                      .value();
   CyclicOracle oracle;
   Rng rng(331);

@@ -49,8 +49,9 @@ TEST(EndToEndTest, FullPipelineProducesAccuratePredictions) {
   auto engine = RiskEngine::Create(config).value();
   Rng rng(202);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
 
   ASSERT_EQ(report.assessment.strangers.size(), ds.strangers.size());
@@ -87,8 +88,9 @@ TEST(EndToEndTest, ValidationAccuracyIsTracked) {
   auto engine = RiskEngine::Create(config).value();
   Rng rng(11);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_GT(report.assessment.validation_total, 0u);
   EXPECT_LE(report.assessment.validation_matches,
@@ -113,8 +115,8 @@ TEST(EndToEndTest, NppPoolsDoNotUnderperformNspOnQueries) {
     auto engine = RiskEngine::Create(config).value();
     Rng rng(17);
     return engine
-        .AssessOwner(ds.graph, ds.profiles, ds.visibility, ds.owner, &oracle,
-                     &rng)
+        .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                TwoHopStrangers(ds.graph, ds.owner).value(), &oracle, &rng)
         .value();
   };
   auto npp = run(PoolStrategy::kNetworkAndProfile);
@@ -145,11 +147,10 @@ TEST(EndToEndTest, IncrementalCrawlMatchesPoolRebuild) {
   size_t last_covered = 0;
   while (!crawler.done()) {
     crawler.Tick();
-    auto report =
-        engine
-            .AssessStrangers(ds.graph, ds.profiles, ds.visibility, ds.owner,
-                             crawler.discovered(), &oracle, &rng)
-            .value();
+    auto report = engine
+                      .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                              crawler.discovered(), &oracle, &rng)
+                      .value();
     EXPECT_EQ(report.assessment.strangers.size(),
               crawler.discovered().size());
     EXPECT_GE(report.assessment.strangers.size(), last_covered);
@@ -173,8 +174,9 @@ TEST(EndToEndTest, HigherConfidenceCostsMoreQueries) {
     auto engine = RiskEngine::Create(config).value();
     Rng rng(37);
     auto report = engine
-                      .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                   ds.owner, &oracle, &rng)
+                      .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                              TwoHopStrangers(ds.graph, ds.owner).value(),
+                              &oracle, &rng)
                       .value();
     return report.assessment.total_queries;
   };
@@ -196,8 +198,9 @@ TEST(EndToEndTest, ConfidenceHundredLabelsEveryStranger) {
   auto engine = RiskEngine::Create(config).value();
   Rng rng(43);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.total_queries, ds.strangers.size());
   for (const StrangerAssessment& sa : report.assessment.strangers) {

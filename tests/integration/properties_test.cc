@@ -114,8 +114,9 @@ TEST_P(EngineProperty, AssessmentCoversAllStrangersWithValidLabels) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng rng(seed ^ 0xbee);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
 
   EXPECT_EQ(report.assessment.strangers.size(), ds.strangers.size());
@@ -145,8 +146,9 @@ TEST_P(EngineProperty, OwnerLabeledStrangersKeepTheirExactLabel) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng rng(seed ^ 0x456);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   for (const StrangerAssessment& sa : report.assessment.strangers) {
     if (!sa.owner_labeled) continue;
@@ -168,8 +170,9 @@ TEST_P(EngineProperty, RoundRecordsAreWellFormed) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng rng(seed ^ 0xabc);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   std::map<size_t, size_t> last_round_of_pool;
   for (const RoundRecord& r : report.assessment.rounds) {

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/risk_engine.h"
-#include "core/risk_session.h"
 #include "graph/algorithms.h"
+#include "service/risk_service.h"
 #include "sim/facebook_generator.h"
 
 namespace sight {
@@ -72,8 +72,9 @@ TEST(RobustnessTest, RandomOracleTerminatesWithFullCoverage) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng rng(3);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), ds.strangers.size());
   // Random labels resist prediction; effort is bounded by pool exhaustion
@@ -89,8 +90,9 @@ TEST(RobustnessTest, InconsistentOracleTerminates) {
   auto engine = RiskEngine::Create(config).value();
   Rng rng(5);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), ds.strangers.size());
   // Every pool ended one way or another.
@@ -108,8 +110,9 @@ TEST(RobustnessTest, ConstantOracleConvergesCheaply) {
   auto engine = RiskEngine::Create(config).value();
   Rng rng(7);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   for (const StrangerAssessment& sa : report.assessment.strangers) {
     EXPECT_EQ(sa.predicted_label, RiskLabel::kRisky);
@@ -125,8 +128,9 @@ TEST(RobustnessTest, TinyMaxRoundsStillCoversEveryStranger) {
   auto engine = RiskEngine::Create(config).value();
   Rng rng(13);
   auto report = engine
-                    .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                 ds.owner, &oracle, &rng)
+                    .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                            TwoHopStrangers(ds.graph, ds.owner).value(),
+                            &oracle, &rng)
                     .value();
   // Coverage holds even when almost everything is merely predicted.
   EXPECT_EQ(report.assessment.strangers.size(), ds.strangers.size());
@@ -138,32 +142,40 @@ TEST(RobustnessTest, TinyMaxRoundsStillCoversEveryStranger) {
 }
 
 TEST(RobustnessTest, SessionSurvivesGraphGrowthBetweenAssessments) {
-  // Users and edges added to the graph after session creation are picked
-  // up on the next Assess (the session only reads during Assess).
-  sim::OwnerDataset ds = MakeDataset(5, 80);
-  RandomConsistentOracle oracle(17);
-  RiskEngineConfig config;
-  auto session = RiskSession::Create(config, &ds.graph, &ds.profiles,
-                                     &ds.visibility, ds.owner)
-                     .value();
-  ASSERT_TRUE(session.DiscoverAllStrangers().ok());
-  Rng rng(19);
-  ASSERT_TRUE(session.Assess(&oracle, &rng).ok());
+  // Users and edges added to the graph after registration are picked up
+  // on the next tick (the service only reads the tables while it
+  // assesses), with or without carried learners.
+  for (bool carry_learners : {true, false}) {
+    sim::OwnerDataset ds = MakeDataset(5, 80);
+    RandomConsistentOracle oracle(17);
+    RiskServiceConfig config;
+    config.carry_learners = carry_learners;
+    auto service = RiskService::Create(std::move(config)).value();
+    OwnerRegistration registration;
+    registration.owner = ds.owner;
+    registration.graph = &ds.graph;
+    registration.profiles = &ds.profiles;
+    registration.visibility = &ds.visibility;
+    ASSERT_TRUE(service->RegisterOwner(registration).ok());
+    ASSERT_TRUE(service->DiscoverAllStrangers(ds.owner).ok());
+    Rng rng(19);
+    ASSERT_TRUE(service->AssessSync(ds.owner, &oracle, &rng).ok());
 
-  // Grow the graph: a brand-new stranger via an existing friend.
-  UserId newcomer = ds.graph.AddUser();
-  ASSERT_TRUE(ds.graph.AddEdge(newcomer, ds.friends[0]).ok());
-  Profile p;
-  p.values.assign(ds.profiles.schema().num_attributes(), "x");
-  ASSERT_TRUE(ds.profiles.Set(newcomer, p).ok());
-  ASSERT_TRUE(session.AddStrangers({newcomer}).ok());
+    // Grow the graph: a brand-new stranger via an existing friend.
+    UserId newcomer = ds.graph.AddUser();
+    ASSERT_TRUE(ds.graph.AddEdge(newcomer, ds.friends[0]).ok());
+    Profile p;
+    p.values.assign(ds.profiles.schema().num_attributes(), "x");
+    ASSERT_TRUE(ds.profiles.Set(newcomer, p).ok());
+    ASSERT_TRUE(service->AddStrangers(ds.owner, {newcomer}).ok());
 
-  auto report = session.Assess(&oracle, &rng).value();
-  bool found = false;
-  for (const StrangerAssessment& sa : report.assessment.strangers) {
-    if (sa.stranger == newcomer) found = true;
+    auto report = service->AssessSync(ds.owner, &oracle, &rng).value();
+    bool found = false;
+    for (const StrangerAssessment& sa : report.assessment.strangers) {
+      if (sa.stranger == newcomer) found = true;
+    }
+    EXPECT_TRUE(found);
   }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/risk_engine.h"
+#include "graph/algorithms.h"
 #include "sim/owner_model.h"
 
 namespace sight::io {
@@ -62,9 +63,10 @@ TEST(DatasetIoTest, LoadedDatasetRunsThroughTheEngine) {
   auto engine = RiskEngine::Create(RiskEngineConfig{}).value();
   Rng rng(5);
   auto report = engine
-                    .AssessOwner(loaded.graph, loaded.profiles,
-                                 loaded.visibility, loaded.owner, &oracle,
-                                 &rng)
+                    .Assess(loaded.graph, loaded.profiles, loaded.visibility,
+                            loaded.owner,
+                            TwoHopStrangers(loaded.graph, loaded.owner).value(),
+                            &oracle, &rng)
                     .value();
   EXPECT_EQ(report.assessment.strangers.size(), loaded.strangers.size());
 }

@@ -1,6 +1,7 @@
 #include "service/risk_service.h"
 
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -135,6 +136,37 @@ TEST(RiskServiceTest, RegisterOwnerValidates) {
             StatusCode::kAlreadyExists);
 }
 
+// Every borrowed table is required, and a rejected registration leaves
+// the owner unregistered so a corrected one still succeeds.
+TEST(RiskServiceTest, RegisterOwnerRejectsMissingTables) {
+  sim::OwnerDataset ds = MakeDataset(1);
+  auto service = RiskService::Create(ServiceConfig()).value();
+
+  OwnerRegistration no_graph = Registration(ds);
+  no_graph.graph = nullptr;
+  EXPECT_EQ(service->RegisterOwner(no_graph).code(),
+            StatusCode::kInvalidArgument);
+
+  OwnerRegistration no_profiles = Registration(ds);
+  no_profiles.profiles = nullptr;
+  EXPECT_EQ(service->RegisterOwner(no_profiles).code(),
+            StatusCode::kInvalidArgument);
+
+  OwnerRegistration no_visibility = Registration(ds);
+  no_visibility.visibility = nullptr;
+  EXPECT_EQ(service->RegisterOwner(no_visibility).code(),
+            StatusCode::kInvalidArgument);
+
+  OwnerRegistration bad_owner = Registration(ds);
+  bad_owner.owner = 999999;
+  EXPECT_FALSE(service->RegisterOwner(bad_owner).ok());
+  EXPECT_EQ(service->NumStrangers(ds.owner).status().code(),
+            StatusCode::kNotFound);
+
+  EXPECT_TRUE(service->RegisterOwner(Registration(ds)).ok());
+  EXPECT_TRUE(service->NumStrangers(ds.owner).ok());
+}
+
 TEST(RiskServiceTest, UnknownOwnerIsNotFoundEverywhere) {
   auto service = RiskService::Create(ServiceConfig()).value();
   sim::OwnerDataset ds = MakeDataset(2, 40);
@@ -163,8 +195,9 @@ TEST(RiskServiceTest, AssessNowMatchesBatchEngineBitwise) {
   sim::OwnerModel batch_oracle = MakeOracle(ds, 11);
   Rng batch_rng(55);
   auto batch = engine
-                   .AssessOwner(ds.graph, ds.profiles, ds.visibility,
-                                ds.owner, &batch_oracle, &batch_rng)
+                   .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
+                           TwoHopStrangers(ds.graph, ds.owner).value(),
+                           &batch_oracle, &batch_rng)
                    .value();
 
   auto service = RiskService::Create(std::move(config)).value();
@@ -428,69 +461,46 @@ TEST(RiskServiceTest, CarriedLearnersSkipStablePools) {
             ds.strangers.size());
 }
 
-TEST(RiskServiceTest, ResidentCachesAreBitwiseNeutral) {
-  // The partition and encode carries are pure cost knobs: a trace of warm
-  // ticks (learner carry ON in both arms — carried learners are part of
-  // the warm semantics, not under test here) must produce bitwise the
-  // same report every tick with the caches on and off, including across
-  // an upstream profile edit that invalidates every fingerprint. The two
-  // services run interleaved so each tick sees identical table state.
-  sim::OwnerDataset ds = MakeDataset(18);
+TEST(RiskServiceTest, ResidentCacheStatsCountHitsAndMisses) {
+  // The partition and encode carries miss on a cold start and after an
+  // upstream edit and hit on a grown or unchanged stranger set, whether
+  // or not learners are carried: those two layers are pure memoization
+  // and always stay. (That they are bitwise-neutral is pinned at the
+  // engine level: RiskEngineTest.ResidentCachesAreBitwiseNeutral.)
+  for (bool carry_learners : {true, false}) {
+    sim::OwnerDataset ds = MakeDataset(18);
+    RiskServiceConfig config = ServiceConfig();
+    config.carry_learners = carry_learners;
+    auto service = RiskService::Create(std::move(config)).value();
+    ASSERT_TRUE(service->RegisterOwner(Registration(ds)).ok());
+    sim::OwnerModel oracle = MakeOracle(ds, 71);
+    Rng rng(73);
+    size_t half = ds.strangers.size() / 2;
+    size_t n = ds.strangers.size();
 
-  RiskServiceConfig cached_config = ServiceConfig();
-  cached_config.carry_pool_partition = true;
-  cached_config.carry_encoded_tables = true;
-  auto cached = RiskService::Create(std::move(cached_config)).value();
-  RiskServiceConfig cold_config = ServiceConfig();
-  cold_config.carry_pool_partition = false;
-  cold_config.carry_encoded_tables = false;
-  auto cold = RiskService::Create(std::move(cold_config)).value();
-  ASSERT_TRUE(cached->RegisterOwner(Registration(ds)).ok());
-  ASSERT_TRUE(cold->RegisterOwner(Registration(ds)).ok());
+    auto tick = [&](const std::vector<UserId>& discovered) {
+      ASSERT_TRUE(service->AddStrangers(ds.owner, discovered).ok());
+      ASSERT_TRUE(service->AssessSync(ds.owner, &oracle, &rng).ok());
+    };
+    tick({ds.strangers.begin(), ds.strangers.begin() + half});  // cold
+    tick({ds.strangers.begin() + half, ds.strangers.end()});    // grown
+    tick({});                                                   // unchanged
+    // Upstream edit: every fingerprint breaks; the next tick rebuilds.
+    ASSERT_TRUE(ds.profiles.SetValue(ds.strangers[0], 0, "female").ok());
+    tick({});
 
-  sim::OwnerModel cached_oracle = MakeOracle(ds, 71);
-  sim::OwnerModel cold_oracle = MakeOracle(ds, 71);
-  Rng cached_rng(73);
-  Rng cold_rng(73);
-  size_t half = ds.strangers.size() / 2;
-  size_t n = ds.strangers.size();
-
-  auto tick = [&](const std::vector<UserId>& discovered) {
-    if (!discovered.empty()) {
-      ASSERT_TRUE(cached->AddStrangers(ds.owner, discovered).ok());
-      ASSERT_TRUE(cold->AddStrangers(ds.owner, discovered).ok());
+    RiskService::Stats stats = service->stats();
+    EXPECT_EQ(stats.assessments_run, 4u);
+    EXPECT_EQ(stats.partition_misses, 2u);  // first tick + post-edit
+    EXPECT_EQ(stats.partition_hits, 2u);    // grown + unchanged
+    EXPECT_EQ(stats.encode_misses, 2u);
+    EXPECT_EQ(stats.encode_hits, 2u);
+    // half (cold) + (n - half) (suffix) + 0 (unchanged) + n (rebuild).
+    EXPECT_EQ(stats.encode_rows_appended, 2 * n);
+    if (!carry_learners) {
+      EXPECT_EQ(stats.pools_carried, 0u);
     }
-    RiskReport a =
-        cached->AssessSync(ds.owner, &cached_oracle, &cached_rng).value();
-    RiskReport b = cold->AssessSync(ds.owner, &cold_oracle, &cold_rng).value();
-    ExpectReportsIdentical(a, b);
-    EXPECT_EQ(a.assessment.pools_carried, b.assessment.pools_carried);
-  };
-
-  std::vector<UserId> first_wave(ds.strangers.begin(),
-                                 ds.strangers.begin() + half);
-  std::vector<UserId> second_wave(ds.strangers.begin() + half,
-                                  ds.strangers.end());
-  tick(first_wave);   // cold start: both caches miss
-  tick(second_wave);  // grown set: suffix-only reuse
-  tick({});           // unchanged set: full reuse
-  // Upstream edit: every fingerprint breaks; the next tick rebuilds cold
-  // and both arms still agree.
-  ASSERT_TRUE(ds.profiles.SetValue(ds.strangers[0], 0, "female").ok());
-  tick({});
-
-  RiskService::Stats cached_stats = cached->stats();
-  EXPECT_EQ(cached_stats.partition_misses, 2u);  // first tick + post-edit
-  EXPECT_EQ(cached_stats.partition_hits, 2u);    // grown + unchanged
-  EXPECT_EQ(cached_stats.encode_misses, 2u);
-  EXPECT_EQ(cached_stats.encode_hits, 2u);
-  // half (cold) + (n - half) (suffix) + 0 (unchanged) + n (rebuild).
-  EXPECT_EQ(cached_stats.encode_rows_appended, 2 * n);
-
-  // The cold arm never exercises (or counts) the caches.
-  RiskService::Stats cold_stats = cold->stats();
-  EXPECT_EQ(cold_stats.partition_hits + cold_stats.partition_misses, 0u);
-  EXPECT_EQ(cold_stats.encode_hits + cold_stats.encode_misses, 0u);
+  }
 }
 
 TEST(RiskServiceTest, AssessSyncRecordsLabelsAndNeverReasks) {
@@ -525,6 +535,220 @@ TEST(RiskServiceTest, AssessSyncRecordsLabelsAndNeverReasks) {
   RiskReport second = service->AssessSync(ds.owner, &oracle, &rng).value();
   EXPECT_EQ(second.assessment.strangers.size(), ds.strangers.size());
   EXPECT_EQ(service->Poll(ds.owner)->version, 2u);
+}
+
+// Counts every query and forbids repeats.
+class StrictOracle : public LabelOracle {
+ public:
+  explicit StrictOracle(sim::OwnerModel* model) : model_(model) {}
+
+  RiskLabel QueryLabel(UserId stranger, double similarity,
+                       double benefit) override {
+    EXPECT_TRUE(asked_.insert(stranger).second)
+        << "stranger " << stranger << " was asked twice";
+    return model_->QueryLabel(stranger, similarity, benefit);
+  }
+
+  size_t queries() const { return asked_.size(); }
+  const std::set<UserId>& asked() const { return asked_; }
+
+ private:
+  sim::OwnerModel* model_;
+  std::set<UserId> asked_;
+};
+
+// A single-owner service driven only through the synchronous calls;
+// carry_learners = false is the rebuild-every-pool-per-tick shape.
+std::unique_ptr<RiskService> SyncService(const sim::OwnerDataset& ds,
+                                         bool carry_learners) {
+  RiskServiceConfig config = ServiceConfig();
+  config.num_shards = 1;
+  config.carry_learners = carry_learners;
+  auto service = RiskService::Create(std::move(config)).value();
+  EXPECT_TRUE(service->RegisterOwner(Registration(ds)).ok());
+  return service;
+}
+
+std::vector<UserId> Slice(const std::vector<UserId>& all, size_t begin,
+                          size_t end) {
+  return std::vector<UserId>(all.begin() + static_cast<ptrdiff_t>(begin),
+                             all.begin() + static_cast<ptrdiff_t>(end));
+}
+
+TEST(RiskServiceTest, AddStrangersValidatesAndDeduplicates) {
+  sim::OwnerDataset ds = MakeDataset(2);
+  auto service = SyncService(ds, false);
+  EXPECT_FALSE(service->AddStrangers(ds.owner, {ds.owner}).ok());
+  EXPECT_FALSE(service->AddStrangers(ds.owner, {9999999}).ok());
+  ASSERT_TRUE(
+      service->AddStrangers(ds.owner, {ds.strangers[0], ds.strangers[1]})
+          .ok());
+  ASSERT_TRUE(
+      service->AddStrangers(ds.owner, {ds.strangers[1], ds.strangers[2]})
+          .ok());
+  EXPECT_EQ(service->NumStrangers(ds.owner).value(), 3u);
+}
+
+TEST(RiskServiceTest, NeverAsksAboutTheSameStrangerTwice) {
+  for (bool carry_learners : {true, false}) {
+    sim::OwnerDataset ds = MakeDataset(3);
+    sim::OwnerModel model = MakeOracle(ds, 7);
+    StrictOracle oracle(&model);
+    auto service = SyncService(ds, carry_learners);
+    Rng rng(11);
+    // Three discovery waves; StrictOracle fails the test on any repeat.
+    size_t third = ds.strangers.size() / 3;
+    for (size_t wave = 0; wave < 3; ++wave) {
+      size_t end = wave == 2 ? ds.strangers.size() : (wave + 1) * third;
+      ASSERT_TRUE(service
+                      ->AddStrangers(ds.owner,
+                                     Slice(ds.strangers, wave * third, end))
+                      .ok());
+      auto report = service->AssessSync(ds.owner, &oracle, &rng);
+      ASSERT_TRUE(report.ok());
+      EXPECT_EQ(report->assessment.strangers.size(), end);
+    }
+    EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), oracle.queries());
+  }
+}
+
+TEST(RiskServiceTest, KnownLabelsPersistAcrossAssessments) {
+  for (bool carry_learners : {true, false}) {
+    sim::OwnerDataset ds = MakeDataset(4);
+    sim::OwnerModel model = MakeOracle(ds, 13);
+    StrictOracle oracle(&model);
+    auto service = SyncService(ds, carry_learners);
+    ASSERT_TRUE(service->DiscoverAllStrangers(ds.owner).ok());
+    Rng rng(17);
+    auto first = service->AssessSync(ds.owner, &oracle, &rng).value();
+    size_t after_first = oracle.queries();
+    EXPECT_EQ(first.assessment.total_queries, after_first);
+    EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), after_first);
+
+    // Re-assessing with no new strangers is strictly cheaper than the
+    // first run: labels carry over, and only rebuilt pools' re-validation
+    // rounds (Definition 4/5 need fresh labels) cost queries — never a
+    // repeated stranger (StrictOracle enforces that).
+    auto second = service->AssessSync(ds.owner, &oracle, &rng).value();
+    size_t second_queries = oracle.queries() - after_first;
+    EXPECT_EQ(second.assessment.total_queries, second_queries);
+    EXPECT_LT(second_queries, after_first);
+    EXPECT_EQ(second.assessment.strangers.size(), ds.strangers.size());
+  }
+}
+
+TEST(RiskServiceTest, CarriedLabelsAreReflectedInAssessments) {
+  for (bool carry_learners : {true, false}) {
+    sim::OwnerDataset ds = MakeDataset(5, 120);
+    sim::OwnerModel model = MakeOracle(ds, 19);
+    StrictOracle oracle(&model);
+    auto service = SyncService(ds, carry_learners);
+    ASSERT_TRUE(service->DiscoverAllStrangers(ds.owner).ok());
+    Rng rng(23);
+    ASSERT_TRUE(service->AssessSync(ds.owner, &oracle, &rng).ok());
+    auto report = service->AssessSync(ds.owner, &oracle, &rng).value();
+    const PoolLearner::KnownLabels& known =
+        *service->KnownLabelsView(ds.owner).value();
+    // Every stranger the oracle ever labeled is marked owner-labeled with
+    // exactly that label.
+    std::map<UserId, RiskLabel> by_id;
+    for (const StrangerAssessment& sa : report.assessment.strangers) {
+      by_id[sa.stranger] = sa.predicted_label;
+      if (known.count(sa.stranger) > 0) {
+        EXPECT_TRUE(sa.owner_labeled);
+      }
+    }
+    for (const auto& [stranger, value] : known) {
+      EXPECT_EQ(RiskLabelValue(by_id[stranger]), value);
+    }
+  }
+}
+
+TEST(RiskServiceTest, IncrementalCostsNoMoreThanTwiceOneShot) {
+  // Label economy: discovering in waves should not blow up total owner
+  // effort versus assessing everything at once.
+  sim::OwnerDataset ds = MakeDataset(6);
+  auto run_waves = [&](size_t waves, bool carry_learners) {
+    sim::OwnerModel model = MakeOracle(ds, 29);
+    StrictOracle oracle(&model);
+    auto service = SyncService(ds, carry_learners);
+    Rng rng(31);
+    size_t per_wave = ds.strangers.size() / waves;
+    for (size_t w = 0; w < waves; ++w) {
+      size_t begin = w * per_wave;
+      size_t end = w + 1 == waves ? ds.strangers.size() : begin + per_wave;
+      EXPECT_TRUE(
+          service->AddStrangers(ds.owner, Slice(ds.strangers, begin, end))
+              .ok());
+      EXPECT_TRUE(service->AssessSync(ds.owner, &oracle, &rng).ok());
+    }
+    return oracle.queries();
+  };
+  for (bool carry_learners : {true, false}) {
+    size_t one_shot = run_waves(1, carry_learners);
+    size_t incremental = run_waves(4, carry_learners);
+    EXPECT_LE(incremental, one_shot * 2 + 20);
+  }
+}
+
+TEST(RiskServiceTest, ImportLabelsSeedsAndDiscovers) {
+  sim::OwnerDataset ds = MakeDataset(8, 100);
+  sim::OwnerModel model = MakeOracle(ds, 43);
+  StrictOracle oracle(&model);
+  auto service = SyncService(ds, false);
+  // Import labels for three strangers before any discovery.
+  PoolLearner::KnownLabels imported;
+  imported[ds.strangers[0]] = 1.0;
+  imported[ds.strangers[1]] = 3.0;
+  imported[ds.strangers[2]] = 2.0;
+  ASSERT_TRUE(service->ImportLabels(ds.owner, imported).ok());
+  EXPECT_EQ(service->NumStrangers(ds.owner).value(), 3u);
+  EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 3u);
+
+  ASSERT_TRUE(service->DiscoverAllStrangers(ds.owner).ok());
+  Rng rng(47);
+  auto report = service->AssessSync(ds.owner, &oracle, &rng).value();
+  // StrictOracle verifies the imported strangers were never re-asked.
+  EXPECT_EQ(oracle.asked().count(ds.strangers[0]), 0u);
+  EXPECT_EQ(oracle.asked().count(ds.strangers[1]), 0u);
+  // Imported labels surface in the assessment.
+  for (const StrangerAssessment& sa : report.assessment.strangers) {
+    if (sa.stranger == ds.strangers[1]) {
+      EXPECT_TRUE(sa.owner_labeled);
+      EXPECT_EQ(sa.predicted_label, RiskLabel::kVeryRisky);
+    }
+  }
+}
+
+TEST(RiskServiceTest, ImportLabelsValidatesAtomically) {
+  sim::OwnerDataset ds = MakeDataset(9, 60);
+  auto service = SyncService(ds, false);
+  PoolLearner::KnownLabels bad;
+  bad[ds.strangers[0]] = 2.0;
+  bad[ds.strangers[1]] = 9.0;  // out of range
+  EXPECT_FALSE(service->ImportLabels(ds.owner, bad).ok());
+  EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
+  EXPECT_EQ(service->NumStrangers(ds.owner).value(), 0u);
+
+  PoolLearner::KnownLabels unknown_user;
+  unknown_user[999999] = 2.0;
+  EXPECT_FALSE(service->ImportLabels(ds.owner, unknown_user).ok());
+  PoolLearner::KnownLabels owner_label;
+  owner_label[ds.owner] = 2.0;
+  EXPECT_FALSE(service->ImportLabels(ds.owner, owner_label).ok());
+  EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
+}
+
+TEST(RiskServiceTest, AssessWithNoStrangersIsEmptyReport) {
+  sim::OwnerDataset ds = MakeDataset(7);
+  auto service = SyncService(ds, true);
+  sim::OwnerModel model = MakeOracle(ds, 37);
+  Rng rng(41);
+  auto report = service->AssessSync(ds.owner, &model, &rng).value();
+  EXPECT_EQ(report.assessment.strangers.size(), 0u);
+  EXPECT_EQ(report.assessment.total_queries, 0u);
+  auto now = service->AssessNow(ds.owner, &model, &rng).value();
+  EXPECT_EQ(now.assessment.strangers.size(), 0u);
 }
 
 }  // namespace

@@ -161,5 +161,76 @@ TEST(ServingStressTest, ShutdownRacesWithSubmitters) {
   EXPECT_LE(strangers, 10u);
 }
 
+TEST(ServingStressTest, SharedProfileTableWithMissingProfiles) {
+  // Two owners share one ProfileTable, and some of their strangers have
+  // no profile, so both shard drains read the table's all-missing
+  // profile at the same time. Reads of a shared table must not write
+  // to it; under TSan this test catches any lazy write.
+  sim::OwnerDataset ds = MakeDataset(91);
+  std::vector<UserId> profileless;
+  for (size_t i = 0; i < 12; ++i) {
+    UserId user = ds.graph.AddUser();
+    ASSERT_TRUE(ds.graph.AddEdge(user, ds.friends[i % 3]).ok());
+    profileless.push_back(user);
+  }
+  ASSERT_FALSE(ds.profiles.Has(profileless[0]));
+
+  // Owners on distinct shards (2 shards, id modulo 2), so the two drains
+  // run concurrently.
+  UserId second = kInvalidUser;
+  for (UserId f : ds.friends) {
+    if (f % 2 != ds.owner % 2) {
+      second = f;
+      break;
+    }
+  }
+  ASSERT_NE(second, kInvalidUser);
+  std::vector<UserId> owners = {ds.owner, second};
+  Rng attitude_rng(13);
+  sim::OwnerAttitude attitude = sim::SampleOwnerAttitude(&attitude_rng);
+  std::vector<std::unique_ptr<sim::OwnerModel>> oracles;
+  for (size_t i = 0; i < owners.size(); ++i) {
+    oracles.push_back(std::make_unique<sim::OwnerModel>(
+        sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility)
+            .value()));
+  }
+
+  RiskServiceConfig config;
+  config.engine.pools.attribute_weights = sim::PaperAttributeWeights();
+  config.num_shards = 2;
+  config.num_threads = 2;
+  auto service = RiskService::Create(std::move(config)).value();
+  std::vector<OwnerEvent> events;
+  for (size_t i = 0; i < owners.size(); ++i) {
+    OwnerRegistration registration;
+    registration.owner = owners[i];
+    registration.graph = &ds.graph;
+    registration.profiles = &ds.profiles;
+    registration.visibility = &ds.visibility;
+    registration.oracle = oracles[i].get();
+    registration.rng_seed = 200 + i;
+    ASSERT_TRUE(service->RegisterOwner(registration).ok());
+    OwnerEvent event;
+    event.owner = owners[i];
+    event.discovered = profileless;
+    for (UserId s : ds.strangers) {
+      if (s != owners[i]) event.discovered.push_back(s);
+    }
+    events.push_back(std::move(event));
+  }
+  for (OwnerEvent& event : events) {
+    ASSERT_TRUE(service->Submit(std::move(event)).ok());
+  }
+  ASSERT_TRUE(service->Flush().ok());
+  for (UserId owner : owners) {
+    auto snapshot = service->Poll(owner);
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_TRUE(snapshot->status.ok()) << snapshot->status.ToString();
+    EXPECT_EQ(snapshot->report.num_strangers,
+              service->NumStrangers(owner).value());
+  }
+  service->Shutdown();
+}
+
 }  // namespace
 }  // namespace sight

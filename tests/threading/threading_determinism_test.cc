@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/risk_engine.h"
+#include "graph/algorithms.h"
 #include "learning/multiclass_harmonic.h"
 #include "sim/facebook_generator.h"
 #include "sim/owner_model.h"
@@ -51,8 +52,10 @@ RiskReport Assess(const sim::OwnerDataset& dataset, ClassifierKind classifier,
                                         &dataset.visibility);
   Rng run_rng(77);
   return engine
-      .AssessOwner(dataset.graph, dataset.profiles, dataset.visibility,
-                   dataset.owner, &*oracle, &run_rng)
+      .Assess(dataset.graph, dataset.profiles, dataset.visibility,
+              dataset.owner,
+              TwoHopStrangers(dataset.graph, dataset.owner).value(), &*oracle,
+              &run_rng)
       .value();
 }
 

@@ -74,8 +74,7 @@ def write_compile_commands(root, entries):
 def run_analyzer(root, *extra):
     return subprocess.run(
         [sys.executable, str(ANALYZER), "--root", str(root),
-         "--build-dir", str(pathlib.Path(root) / "build"),
-         "--frontend", "internal", *extra],
+         "--build-dir", str(pathlib.Path(root) / "build"), *extra],
         capture_output=True, text=True)
 
 

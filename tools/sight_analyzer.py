@@ -32,12 +32,9 @@ serving path actually relies on (DESIGN.md §15):
                      even when macros or [[nodiscard]] gaps would let
                      the compiler miss it.
 
-Frontends: with the libclang python bindings installed (python3-clang +
-libclang), translation units are parsed by libclang and function bodies
-are lifted from real cursors. Without them the built-in frontend — a
-C++ tokenizer plus a scope-tracking function extractor tuned to this
-repo's subset of C++20 — produces the same model. `--frontend` forces a
-choice; the default autoselects.
+Frontend: a C++ tokenizer plus a scope-tracking function extractor
+tuned to this repo's subset of C++20 builds the model; it needs nothing
+beyond the Python standard library.
 
 Suppressions: a finding is waived by a comment on the same line or the
 line above:
@@ -105,7 +102,6 @@ HOT_REBUILD_CTORS = {"ProfileCodec"}
 # cold fallbacks and the codec/matrix machinery itself (DESIGN.md §14/§15).
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
-    "ActiveLearner::Create",          # per-pool encode when the cache misses
     "PoolLearner::Create",            # CSR compaction of a newly built pool
     "SimilarityMatrix::MergeCompact", # falls back to Compact when never built
     "KModes::Cluster",                # string-path clustering encodes once
@@ -796,8 +792,8 @@ def check_includes(tu_path, includes, include_dirs, src_root):
     return problems
 
 
-def build_model_internal(tus, root, src_root):
-    """Built-in frontend: parse every TU plus every header under src/."""
+def build_model(tus, root, src_root):
+    """Parses every TU plus every header under src/ into one model."""
     model = Model()
     problems = []
     seen = set()
@@ -819,8 +815,8 @@ def build_model_internal(tus, root, src_root):
         except ToolError as e:
             problems.append(
                 f"failed to parse {path}: {e} — the file may use syntax "
-                "outside the analyzer's C++ subset; fix the construct, "
-                "install the libclang frontend, or suppress the file")
+                "outside the analyzer's C++ subset; fix the construct or "
+                "suppress the file")
             return None
         except RecursionError:
             problems.append(f"failed to parse {path}: nesting too deep")
@@ -838,135 +834,6 @@ def build_model_internal(tus, root, src_root):
     if problems:
         raise ToolError("\n".join(problems))
     return model
-
-
-def build_model_libclang(tus, root, src_root):
-    """libclang frontend: real TU parses, same model shape."""
-    from clang import cindex  # noqa: import guarded by caller
-
-    model = Model()
-    index = cindex.Index.create()
-    parsed_files = set()
-
-    def lift_tokens(tu, extent):
-        out = []
-        for tok in tu.get_tokens(extent=extent):
-            kind = {
-                cindex.TokenKind.IDENTIFIER: "id",
-                cindex.TokenKind.KEYWORD: "id",
-                cindex.TokenKind.LITERAL: "num",
-                cindex.TokenKind.PUNCTUATION: "punct",
-            }.get(tok.kind)
-            if kind is None:
-                continue  # comments handled via the raw-text scan
-            text = tok.spelling
-            if kind == "num" and text.startswith(('"', "'")):
-                kind, text = "str", '""'
-            out.append(Token(kind, text, tok.location.line))
-        return out
-
-    def visit(cursor, tu):
-        for c in cursor.get_children():
-            loc_file = c.location.file
-            if loc_file is None:
-                continue
-            p = pathlib.Path(loc_file.name)
-            try:
-                p.relative_to(src_root)
-            except ValueError:
-                continue
-            if c.kind in (cindex.CursorKind.NAMESPACE,
-                          cindex.CursorKind.CLASS_DECL,
-                          cindex.CursorKind.STRUCT_DECL,
-                          cindex.CursorKind.UNEXPOSED_DECL):
-                visit(c, tu)
-                continue
-            if c.kind in (cindex.CursorKind.CXX_METHOD,
-                          cindex.CursorKind.FUNCTION_DECL,
-                          cindex.CursorKind.CONSTRUCTOR,
-                          cindex.CursorKind.DESTRUCTOR):
-                rel = str(p.relative_to(root)) if root in p.parents \
-                    else str(p)
-                cls = None
-                parent = c.semantic_parent
-                if parent is not None and parent.kind in (
-                        cindex.CursorKind.CLASS_DECL,
-                        cindex.CursorKind.STRUCT_DECL):
-                    cls = parent.spelling
-                is_const = c.kind == cindex.CursorKind.CXX_METHOD and \
-                    c.is_const_method()
-                ret = [Token("id", w, c.location.line)
-                       for w in re.findall(r"\w+",
-                                           c.result_type.spelling or "")]
-                body = []
-                if c.is_definition():
-                    for child in c.get_children():
-                        if child.kind == cindex.CursorKind.COMPOUND_STMT:
-                            body = lift_tokens(tu, child.extent)
-                fn = Function(rel, c.location.line, cls, c.spelling,
-                              is_const, body, ret)
-                key = (rel, c.location.line, fn.qualname, bool(body))
-                if key not in parsed_files:
-                    parsed_files.add(key)
-                    model.add_file(rel, [fn] if body else [],
-                                   [fn] if not body else [], {})
-
-    problems = []
-    for tu_path, inc_dirs in tus:
-        args = ["-std=c++20", "-xc++"] + [f"-I{d}" for d in inc_dirs]
-        try:
-            tu = index.parse(str(tu_path), args=args)
-        except cindex.TranslationUnitLoadError as e:
-            problems.append(f"libclang failed to load {tu_path}: {e}")
-            continue
-        fatal = [d for d in tu.diagnostics if d.severity >=
-                 cindex.Diagnostic.Fatal]
-        if fatal:
-            problems.append(
-                f"libclang could not parse {tu_path}: "
-                + "; ".join(d.spelling for d in fatal))
-            continue
-        visit(tu.cursor, tu)
-    if problems:
-        raise ToolError("\n".join(problems))
-    # Suppressions and includes still come from the raw text.
-    for rel in list(model.files):
-        p = root / rel
-        try:
-            _, suppressions, _ = tokenize(p.read_text(encoding="utf-8"),
-                                          str(p))
-        except (OSError, ToolError, UnicodeDecodeError):
-            continue
-        model.add_file(rel, [], [], suppressions)
-    return model
-
-
-def build_model(tus, root, src_root, frontend):
-    if frontend == "internal":
-        return build_model_internal(tus, root, src_root), "internal"
-    try:
-        import clang.cindex  # noqa: F401
-        have_libclang = True
-    except ImportError:
-        have_libclang = False
-    if frontend == "libclang":
-        if not have_libclang:
-            raise ToolError(
-                "--frontend=libclang requested but the clang python "
-                "bindings are not importable — install python3-clang and "
-                "libclang (apt: python3-clang libclang-dev), or use "
-                "--frontend=internal")
-        return build_model_libclang(tus, root, src_root), "libclang"
-    # auto
-    if have_libclang:
-        try:
-            return build_model_libclang(tus, root, src_root), "libclang"
-        except ToolError:
-            raise
-        except Exception as e:  # defensive: never lose the run to a
-            print(f"sight-analyzer: libclang frontend failed ({e}); "
-                  "falling back to the built-in frontend", file=sys.stderr)
-    return build_model_internal(tus, root, src_root), "internal"
 
 
 # --------------------------------------------------------------------------
@@ -1495,8 +1362,6 @@ def main(argv):
                              "(relative to --root unless absolute)")
     parser.add_argument("--rule", action="append", choices=RULE_NAMES,
                         help="run only this rule (repeatable)")
-    parser.add_argument("--frontend", default="auto",
-                        choices=["auto", "internal", "libclang"])
     parser.add_argument("--baseline", default=None,
                         help="baseline file (default: "
                              "<root>/tools/sight_analyzer_baseline.json)")
@@ -1525,7 +1390,7 @@ def main(argv):
     try:
         entries, cc_path = load_compile_commands(build_dir)
         tus = gather_tus(entries, cc_path, root, src_root)
-        model, frontend = build_model(tus, root, src_root, args.frontend)
+        model = build_model(tus, root, src_root)
         baseline = load_baseline(baseline_path)
 
         findings = []
@@ -1559,7 +1424,7 @@ def main(argv):
         for f in baselined:
             print(f"baselined:  {f}")
     print(f"sight-analyzer: {len(model.files)} files, "
-          f"{len(model.functions)} functions ({frontend} frontend); "
+          f"{len(model.functions)} functions; "
           f"{len(active)} finding(s), {len(suppressed)} suppressed, "
           f"{len(baselined)} baselined", file=sys.stderr)
     return 1 if active else 0

@@ -28,15 +28,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "core/friend_suggestion.h"
 #include "core/query_text.h"
 #include "core/risk_engine.h"
-#include "core/risk_session.h"
 #include "graph/statistics.h"
 #include "io/dataset_io.h"
 #include "io/labels_io.h"
+#include "service/risk_service.h"
 #include "sim/facebook_generator.h"
 #include "sim/owner_model.h"
 #include "util/csv.h"
@@ -229,27 +230,36 @@ RiskEngineConfig EngineConfigFor(const sim::OwnerDataset& dataset) {
 Result<RiskReport> RunAssessment(const Args& args,
                                  const sim::OwnerDataset& dataset,
                                  LabelOracle* oracle) {
-  SIGHT_ASSIGN_OR_RETURN(
-      RiskSession session,
-      RiskSession::Create(EngineConfigFor(dataset), &dataset.graph,
-                          &dataset.profiles, &dataset.visibility,
-                          dataset.owner));
+  // One synchronous tick on a fresh single-owner service.
+  RiskServiceConfig config;
+  config.engine = EngineConfigFor(dataset);
+  config.num_shards = 1;
+  SIGHT_ASSIGN_OR_RETURN(std::unique_ptr<RiskService> service,
+                         RiskService::Create(std::move(config)));
+  OwnerRegistration registration;
+  registration.owner = dataset.owner;
+  registration.graph = &dataset.graph;
+  registration.profiles = &dataset.profiles;
+  registration.visibility = &dataset.visibility;
+  SIGHT_RETURN_IF_ERROR(service->RegisterOwner(registration));
   if (!args.labels_in.empty()) {
     SIGHT_ASSIGN_OR_RETURN(PoolLearner::KnownLabels previous,
                            io::LoadKnownLabelsFromFile(args.labels_in));
-    SIGHT_RETURN_IF_ERROR(session.ImportLabels(previous));
+    SIGHT_RETURN_IF_ERROR(service->ImportLabels(dataset.owner, previous));
     std::printf("resumed %zu previously collected labels from %s\n",
                 previous.size(), args.labels_in.c_str());
   }
-  SIGHT_RETURN_IF_ERROR(session.DiscoverAllStrangers());
+  SIGHT_RETURN_IF_ERROR(service->DiscoverAllStrangers(dataset.owner));
   Rng rng(args.seed ^ 0xa55e55ULL);
-  SIGHT_ASSIGN_OR_RETURN(RiskReport report, session.Assess(oracle, &rng));
+  SIGHT_ASSIGN_OR_RETURN(RiskReport report,
+                         service->AssessSync(dataset.owner, oracle, &rng));
   if (!args.owner_labels_out.empty()) {
-    SIGHT_RETURN_IF_ERROR(io::SaveKnownLabelsToFile(session.known_labels(),
-                                                  args.owner_labels_out));
+    SIGHT_ASSIGN_OR_RETURN(const PoolLearner::KnownLabels* known,
+                           service->KnownLabelsView(dataset.owner));
+    SIGHT_RETURN_IF_ERROR(
+        io::SaveKnownLabelsToFile(*known, args.owner_labels_out));
     std::printf("owner answers saved to %s (%zu labels)\n",
-                args.owner_labels_out.c_str(),
-                session.num_known_labels());
+                args.owner_labels_out.c_str(), known->size());
   }
   return report;
 }
