@@ -105,7 +105,8 @@ Result<PoolLearner> PoolLearner::Create(
     for (size_t i = 0; i < learner.members_.size(); ++i) {
       auto it = known_labels->find(learner.members_[i]);
       if (it == known_labels->end()) continue;
-      if (it->second < kRiskLabelMin || it->second > kRiskLabelMax) {
+      // Written so that NaN, which fails every comparison, is rejected.
+      if (!(it->second >= kRiskLabelMin && it->second <= kRiskLabelMax)) {
         return Status::OutOfRange(
             StrFormat("known label %f for stranger %u outside [%d, %d]",
                       it->second, learner.members_[i], kRiskLabelMin,
@@ -116,7 +117,7 @@ Result<PoolLearner> PoolLearner::Create(
       ++learner.seeded_count_;
     }
   }
-  if (prior_scores != nullptr) {
+  if (prior_scores != nullptr && learner.solve_state_ != nullptr) {
     // Previous-tick predicted scores seed the first solve's starting
     // vector: found members keep their old score, the rest start at the
     // mean of the found scores (the same role the label mean plays on a
@@ -131,11 +132,12 @@ Result<PoolLearner> PoolLearner::Create(
     }
     if (found > 0) {
       double mean = sum / static_cast<double>(found);
-      learner.seed_f_.assign(learner.members_.size(), mean);
+      std::vector<double> seed(learner.members_.size(), mean);
       for (size_t i = 0; i < learner.members_.size(); ++i) {
         auto it = prior_scores->find(learner.members_[i]);
-        if (it != prior_scores->end()) learner.seed_f_[i] = it->second;
+        if (it != prior_scores->end()) seed[i] = it->second;
       }
+      learner.solve_state_->SeedSolution(std::move(seed));
     }
   }
   return learner;
@@ -152,53 +154,14 @@ PoolLearner::PoolLearner(const StrangerPool& pool, SimilarityMatrix weights,
       display_benefit_(std::move(display_benefit)), config_(config),
       classifier_(classifier), sampler_(sampler),
       is_labeled_(pool.members.size(), false),
-      predictions_(pool.members.size(), 0.0) {}
+      predictions_(pool.members.size(), 0.0),
+      solve_state_(classifier->MakeState()) {}
 
 Status PoolLearner::Repredict() {
-  // Every Repredict appends one step to the canonical solve chain; both
-  // modes below compute exactly that chain's latest iterate, so flipping
-  // warm_start never changes a prediction (DESIGN.md §12).
-  chain_sizes_.push_back(labeled_.size());
-  std::vector<double> next;
-  if (config_.warm_start) {
-    if (!state_created_) {
-      solve_state_ = classifier_->MakeState();
-      state_created_ = true;
-      if (solve_state_ != nullptr && !seed_f_.empty()) {
-        solve_state_->SeedSolution(seed_f_);
-      }
-    }
-    SIGHT_ASSIGN_OR_RETURN(
-        next, classifier_->PredictWithState(weights_, labeled_,
-                                            solve_state_.get(),
-                                            &last_solve_));
-  } else {
-    // Cold path: replay the whole chain from scratch through a throwaway
-    // state. Stateless classifiers (MakeState() == nullptr) have no
-    // chain — a single predict is already the cold solve.
-    std::unique_ptr<ClassifierState> replay = classifier_->MakeState();
-    if (replay == nullptr) {
-      SIGHT_ASSIGN_OR_RETURN(
-          next, classifier_->PredictWithState(weights_, labeled_, nullptr,
-                                              &last_solve_));
-    } else {
-      if (!seed_f_.empty()) replay->SeedSolution(seed_f_);
-      for (size_t step_size : chain_sizes_) {
-        LabeledSet prefix;
-        prefix.indices.assign(labeled_.indices.begin(),
-                              labeled_.indices.begin() +
-                                  static_cast<ptrdiff_t>(step_size));
-        prefix.values.assign(labeled_.values.begin(),
-                             labeled_.values.begin() +
-                                 static_cast<ptrdiff_t>(step_size));
-        SIGHT_ASSIGN_OR_RETURN(
-            next, classifier_->PredictWithState(weights_, prefix,
-                                                replay.get(),
-                                                &last_solve_));
-      }
-    }
-  }
-  predictions_ = std::move(next);
+  SIGHT_ASSIGN_OR_RETURN(
+      predictions_, classifier_->PredictWithState(weights_, labeled_,
+                                                  solve_state_.get(),
+                                                  &last_solve_));
   has_predictions_ = true;
   return Status::OK();
 }

@@ -72,13 +72,6 @@ struct ActiveLearnerConfig {
   /// Keep only the top-k profile-similarity edges per pool member when
   /// building the classifier graph; 0 = dense.
   size_t sparsify_top_k = 0;
-  /// Carry the classifier's solve state across rounds so each re-solve
-  /// starts from the previous round's converged scores (warm start)
-  /// instead of replaying the label history from scratch. Predictions
-  /// are bitwise-identical either way — see DESIGN.md §12 — so this is
-  /// purely a per-round cost knob; false forces the cold replay (used by
-  /// the equivalence tests and the round_solve bench).
-  bool warm_start = true;
   /// When false (default) the Definition-5 stabilization scan stops at
   /// the first still-unlabeled member that moved >= tolerance, so
   /// RoundRecord::unstabilized is 0 or 1 on unstable rounds. fig6-style
@@ -260,17 +253,13 @@ class PoolLearner {
   std::vector<double> predictions_;
   bool has_predictions_ = false;
 
-  // Incremental solve bookkeeping. `chain_sizes_` records the labeled-set
-  // size at every Repredict() — the canonical solve chain. Warm mode
-  // carries `solve_state_` across rounds and solves the latest step only;
-  // cold mode (warm_start == false) replays every chain step from a
-  // fresh state, which is bitwise-identical by construction (DESIGN.md
-  // §12). `seed_f_` is the optional cross-tick starting vector; both
-  // modes apply it, keeping them comparable.
+  // Classifier solve state (null for stateless classifiers), made at
+  // construction and seeded there with any cross-tick prior scores. It is
+  // carried across rounds, so each Repredict() solves only the latest
+  // step of the label chain, starting from the previous round's
+  // converged scores; that is bitwise-identical to replaying the whole
+  // chain from a fresh state (DESIGN.md §12).
   std::unique_ptr<ClassifierState> solve_state_;
-  bool state_created_ = false;
-  std::vector<size_t> chain_sizes_;
-  std::vector<double> seed_f_;
   SolveStats last_solve_;
 
   size_t rounds_run_ = 0;

@@ -11,6 +11,9 @@
 namespace sight {
 namespace {
 
+// kAuto switches to conjugate gradient above this many unlabeled nodes.
+constexpr size_t kAutoCgThreshold = 128;
+
 // Row-indexed (index, weight) adjacency over a similarity matrix. Borrows
 // the matrix's compact view when one was materialized (the learner hot
 // path: PoolLearner compacts once and solves every round); otherwise
@@ -137,7 +140,7 @@ Result<std::vector<double>> HarmonicFunctionClassifier::Solve(
   HarmonicSolver solver = config_.solver;
   if (solver == HarmonicSolver::kAuto) {
     size_t unlabeled = n - labeled.size();
-    solver = unlabeled > config_.auto_cg_threshold
+    solver = unlabeled > kAutoCgThreshold
                  ? HarmonicSolver::kConjugateGradient
                  : HarmonicSolver::kGaussSeidel;
   }

@@ -73,7 +73,9 @@ enum class HarmonicSolver {
   kConjugateGradient,
   /// Gauss-Seidel for small systems, conjugate gradient once the
   /// unlabeled set is large (CG converges in far fewer O(n^2) passes on
-  /// big dense pools — ~3-4x faster at n=400 in perf_components).
+  /// big dense pools — ~3-4x faster at n=400 in perf_components). The
+  /// switch point is fixed: conjugate gradient above 128 unlabeled nodes,
+  /// chosen per solve from the unlabeled count.
   kAuto,
 };
 
@@ -83,9 +85,6 @@ struct HarmonicConfig {
   /// Convergence: max absolute score change per sweep (Gauss-Seidel) or
   /// residual norm relative to ||b|| (CG) below this stops iterating.
   double tolerance = 1e-7;
-  /// kAuto switches to conjugate gradient above this many unlabeled
-  /// nodes.
-  size_t auto_cg_threshold = 128;
 };
 
 class HarmonicFunctionClassifier : public GraphClassifier {

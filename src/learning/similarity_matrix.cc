@@ -10,62 +10,7 @@ void SimilarityMatrix::Set(size_t i, size_t j, double value) {
   SIGHT_CHECK(i < n_ && j < n_);
   if (i == j) return;
   data_[Index(i, j)] = value;
-  if (!compacted_) return;
-  // A pair touching an appended row cannot exist in the base view, so it
-  // stages cleanly; a pair between two base rows may shadow a base edge
-  // and falls back to a full invalidation.
-  if (std::max(i, j) >= base_rows_) {
-    StageEdge(i, j, value);
-  } else {
-    InvalidateCompact();
-  }
-}
-
-void SimilarityMatrix::AppendRows(size_t count) {
-  if (count == 0) return;
-  n_ += count;
-  // Index(i, j) = i * (i + 1) / 2 + j: new rows pack strictly after the
-  // old ones, so a resize preserves every existing entry in place.
-  data_.resize(n_ * (n_ + 1) / 2, 0.0);
-  if (compacted_) tail_rows_.resize(n_ - base_rows_);
-}
-
-std::vector<Neighbor>& SimilarityMatrix::MutableOverlayRow(size_t i) {
-  if (i >= base_rows_) return tail_rows_[i - base_rows_];
-  auto it = patched_rows_.find(i);
-  if (it == patched_rows_.end()) {
-    std::span<const Neighbor> base(
-        neighbors_.data() + row_offsets_[i],
-        row_offsets_[i + 1] - row_offsets_[i]);
-    it = patched_rows_
-             .emplace(i, std::vector<Neighbor>(base.begin(), base.end()))
-             .first;
-  }
-  return it->second;
-}
-
-void SimilarityMatrix::StageEdge(size_t i, size_t j, double value) {
-  auto upsert = [](std::vector<Neighbor>& row, size_t index,
-                   double weight) -> bool {
-    auto pos = std::lower_bound(
-        row.begin(), row.end(), index,
-        [](const Neighbor& nb, size_t idx) { return nb.index < idx; });
-    bool existed = pos != row.end() && pos->index == index;
-    if (weight > 0.0) {
-      if (existed) {
-        pos->weight = weight;
-      } else {
-        row.insert(pos, Neighbor{index, weight});
-      }
-    } else if (existed) {
-      row.erase(pos);
-    }
-    return existed;
-  };
-  bool existed = upsert(MutableOverlayRow(i), j, value);
-  upsert(MutableOverlayRow(j), i, value);
-  if (value > 0.0 && !existed) ++staged_edges_;
-  if (value <= 0.0 && existed) --staged_edges_;
+  InvalidateCompact();
 }
 
 void SimilarityMatrix::SetRowSpan(size_t i, size_t j0, const double* values,
@@ -124,7 +69,7 @@ void SimilarityMatrix::SparsifyTopK(size_t k) {
 }
 
 size_t SimilarityMatrix::NumEdges() const {
-  if (compacted_) return neighbors_.size() / 2 + staged_edges_;
+  if (compacted_) return neighbors_.size() / 2;
   size_t count = 0;
   for (size_t i = 0; i < n_; ++i) {
     for (size_t j = 0; j < i; ++j) {
@@ -171,72 +116,14 @@ void SimilarityMatrix::BuildCsr(std::vector<size_t>* offsets,
 }
 
 void SimilarityMatrix::Compact() {
-  if (compacted_) {
-    MergeCompact();
-    return;
-  }
+  if (compacted_) return;
   BuildCsr(&row_offsets_, &neighbors_);
   compacted_ = true;
-  base_rows_ = n_;
-}
-
-void SimilarityMatrix::MergeCompact() {
-  if (!compacted_) {
-    Compact();
-    return;
-  }
-  if (base_rows_ == n_ && patched_rows_.empty()) return;
-
-  // One pass over row degrees (overlay-dispatched), one pass of row-span
-  // copies. Every source row is already sorted, so there is no sorting
-  // and no rescan of the dense store.
-  auto row_of = [this](size_t i) -> std::span<const Neighbor> {
-    if (i >= base_rows_) {
-      const std::vector<Neighbor>& row = tail_rows_[i - base_rows_];
-      return std::span<const Neighbor>(row.data(), row.size());
-    }
-    auto it = patched_rows_.find(i);
-    if (it != patched_rows_.end()) {
-      return std::span<const Neighbor>(it->second.data(),
-                                       it->second.size());
-    }
-    return std::span<const Neighbor>(
-        neighbors_.data() + row_offsets_[i],
-        row_offsets_[i + 1] - row_offsets_[i]);
-  };
-
-  std::vector<size_t> merged_offsets(n_ + 1, 0);
-  for (size_t i = 0; i < n_; ++i) {
-    merged_offsets[i + 1] = merged_offsets[i] + row_of(i).size();
-  }
-  std::vector<Neighbor> merged(merged_offsets.back());
-  for (size_t i = 0; i < n_; ++i) {
-    std::span<const Neighbor> row = row_of(i);
-    std::copy(row.begin(), row.end(),
-              merged.begin() + static_cast<ptrdiff_t>(merged_offsets[i]));
-  }
-  row_offsets_ = std::move(merged_offsets);
-  neighbors_ = std::move(merged);
-  base_rows_ = n_;
-  staged_edges_ = 0;
-  tail_rows_.clear();
-  patched_rows_.clear();
 }
 
 std::span<const Neighbor> SimilarityMatrix::Neighbors(size_t i) const {
   SIGHT_CHECK(compacted_);
   SIGHT_CHECK(i < n_);
-  if (i >= base_rows_) {
-    const std::vector<Neighbor>& row = tail_rows_[i - base_rows_];
-    return std::span<const Neighbor>(row.data(), row.size());
-  }
-  if (!patched_rows_.empty()) {
-    auto it = patched_rows_.find(i);
-    if (it != patched_rows_.end()) {
-      return std::span<const Neighbor>(it->second.data(),
-                                       it->second.size());
-    }
-  }
   return std::span<const Neighbor>(neighbors_.data() + row_offsets_[i],
                                    row_offsets_[i + 1] - row_offsets_[i]);
 }
@@ -248,11 +135,6 @@ void SimilarityMatrix::InvalidateCompact() {
   row_offsets_.shrink_to_fit();
   neighbors_.clear();
   neighbors_.shrink_to_fit();
-  base_rows_ = 0;
-  staged_edges_ = 0;
-  tail_rows_.clear();
-  tail_rows_.shrink_to_fit();
-  patched_rows_.clear();
 }
 
 }  // namespace sight

@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -36,33 +35,8 @@ class SimilarityMatrix {
   size_t size() const { return n_; }
 
   /// Sets w(i, j) = w(j, i) = value. Diagonal writes are ignored.
-  /// On a compacted matrix, a pair touching a row appended after
-  /// Compact() is staged into the overlay (the view stays valid and
-  /// Neighbors() reflects the write); a pair between two pre-Compact()
-  /// rows invalidates the view as before.
+  /// Invalidates a previously built compact view.
   void Set(size_t i, size_t j, double value);
-
-  /// Grows the matrix by `count` rows (initially all-zero). The packed
-  /// lower-triangle store appends in place, so existing entries are
-  /// untouched. A compact view stays valid: writes into the new rows are
-  /// staged (see Set()) until MergeCompact() folds them in. This is the
-  /// stranger-arrival path of the RiskService crawler flow.
-  void AppendRows(size_t count);
-
-  /// Folds staged rows/edges into the compact view with one O(entries)
-  /// offset rebuild and row copies — no per-row sorts, no O(n^2) dense
-  /// rescan. No-op when nothing is staged; falls back to Compact() when
-  /// no view exists yet.
-  void MergeCompact();
-
-  /// Rows appended since the compact view was built (0 when not
-  /// compacted).
-  size_t num_staged_rows() const {
-    return compacted_ ? n_ - base_rows_ : 0;
-  }
-
-  /// Positive-weight pairs staged in the overlay, not yet merged.
-  size_t num_staged_edges() const { return staged_edges_; }
 
   /// Sets w(i, j0 + k) = values[k] for k in [0, count). Requires
   /// j0 + count <= i (a strictly-lower-triangle span), which makes the
@@ -88,15 +62,14 @@ class SimilarityMatrix {
 
   /// Materializes per-row (index, weight) adjacency lists over the
   /// positive-weight entries so Neighbors(i) is available. Rows are sorted
-  /// by neighbor index. Equivalent to MergeCompact() if already
-  /// compacted; a later SparsifyTopK() (or a Set() between two
-  /// pre-Compact() rows) invalidates the view.
+  /// by neighbor index. No-op if already compacted; a later Set(),
+  /// SetRowSpan() or SparsifyTopK() invalidates the view.
   void Compact();
 
   bool compacted() const { return compacted_; }
 
-  /// Row i of the compact view (staged appends overlaid). Requires a
-  /// prior Compact().
+  /// Row i of the compact view: one contiguous span of the CSR arrays.
+  /// Requires a prior Compact().
   std::span<const Neighbor> Neighbors(size_t i) const;
 
   /// Writes the CSR arrays for the current contents into the outputs
@@ -115,30 +88,13 @@ class SimilarityMatrix {
 
   void InvalidateCompact();
 
-  /// Stages w(i, j) = value into the overlay rows of both endpoints.
-  /// Requires compacted_ and max(i, j) >= base_rows_ (the pair involves
-  /// an appended row, so it cannot already exist in the base view).
-  void StageEdge(size_t i, size_t j, double value);
-
-  /// Mutable overlay row for i: the tail row when i was appended, else
-  /// the patched copy of base row i (created on first touch).
-  std::vector<Neighbor>& MutableOverlayRow(size_t i);
-
   size_t n_;
   std::vector<double> data_;
 
-  // Compact (CSR) view; valid iff compacted_. Base arrays cover rows
-  // [0, base_rows_); rows appended later live in tail_rows_, and base
-  // rows that gained a staged neighbor are shadowed whole (sorted, fully
-  // merged) in patched_rows_, so Neighbors() always returns one
-  // contiguous span.
+  // Compact (CSR) view; valid iff compacted_.
   bool compacted_ = false;
-  std::vector<size_t> row_offsets_;  // base_rows_ + 1 entries
+  std::vector<size_t> row_offsets_;  // n_ + 1 entries
   std::vector<Neighbor> neighbors_;  // both directions of every edge
-  size_t base_rows_ = 0;             // rows covered by the base view
-  size_t staged_edges_ = 0;          // staged positive pairs, not merged
-  std::vector<std::vector<Neighbor>> tail_rows_;  // row base_rows_ + k
-  std::unordered_map<size_t, std::vector<Neighbor>> patched_rows_;
 };
 
 }  // namespace sight

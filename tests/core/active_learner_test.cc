@@ -1,5 +1,6 @@
 #include "core/active_learner.h"
 
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -344,6 +345,14 @@ TEST(PoolLearnerTest, SeedOutsideLabelRangeRejected) {
                                    parts.config, &parts.classifier,
                                    &parts.sampler, &known)
                    .ok());
+  // NaN fails every comparison; it must not slip through the range test.
+  known[10] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(PoolLearner::Create(pool, UniformWeights(1), {0.0}, {0.0},
+                                parts.config, &parts.classifier,
+                                &parts.sampler, &known)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(ActiveLearnerTest, CreateValidatesBenefitsShape) {

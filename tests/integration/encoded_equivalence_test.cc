@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "clustering/kmodes.h"
 #include "clustering/squeezer.h"
 #include "core/active_learner.h"
 #include "core/attribute_importance.h"
@@ -176,133 +175,6 @@ TEST(EncodedEquivalenceTest, SqueezerAssignmentsMatchNaiveStringReference) {
     std::vector<size_t> expected =
         NaiveSqueezerAssignments(ds.profiles, users, uniform, threshold);
     EXPECT_EQ(assignments, expected) << "threshold " << threshold;
-  }
-}
-
-// String-only reimplementation of the k-modes loop (farthest-point
-// seeding, assignment, per-attribute mode update with lexicographic
-// tie-break), kept naive as the reference for the code-indexed
-// implementation in KModes::ClusterEncoded.
-Clustering NaiveKModes(const ProfileTable& table,
-                       const std::vector<UserId>& users,
-                       const std::vector<double>& weights, size_t k_in,
-                       size_t max_iterations, Rng* rng) {
-  size_t n = weights.size();
-  auto distance = [&](const Profile& p,
-                      const std::vector<std::string>& mode) {
-    double dist = 0.0;
-    for (AttributeId a = 0; a < n; ++a) {
-      bool match =
-          !p.IsMissing(a) && a < mode.size() && p.value(a) == mode[a];
-      if (!match) dist += weights[a];
-    }
-    return dist;
-  };
-
-  Clustering result;
-  if (users.empty()) return result;
-  size_t k = std::min(k_in, users.size());
-  std::vector<std::vector<std::string>> modes;
-  size_t first = static_cast<size_t>(
-      rng->UniformInt(0, static_cast<int64_t>(users.size()) - 1));
-  modes.push_back(table.Get(users[first]).values);
-  modes.back().resize(n);
-  while (modes.size() < k) {
-    double best_dist = -1.0;
-    size_t best_idx = 0;
-    for (size_t i = 0; i < users.size(); ++i) {
-      const Profile& p = table.Get(users[i]);
-      double nearest = distance(p, modes[0]);
-      for (size_t m = 1; m < modes.size(); ++m) {
-        nearest = std::min(nearest, distance(p, modes[m]));
-      }
-      if (nearest > best_dist) {
-        best_dist = nearest;
-        best_idx = i;
-      }
-    }
-    modes.push_back(table.Get(users[best_idx]).values);
-    modes.back().resize(n);
-  }
-
-  std::vector<size_t> assignment(users.size(), 0);
-  for (size_t iter = 0; iter < max_iterations; ++iter) {
-    bool changed = false;
-    for (size_t i = 0; i < users.size(); ++i) {
-      const Profile& p = table.Get(users[i]);
-      double best = distance(p, modes[0]);
-      size_t best_c = 0;
-      for (size_t c = 1; c < k; ++c) {
-        double d = distance(p, modes[c]);
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      if (assignment[i] != best_c) {
-        assignment[i] = best_c;
-        changed = true;
-      }
-    }
-    if (!changed && iter > 0) break;
-    std::vector<std::vector<std::unordered_map<std::string, size_t>>> counts(
-        k, std::vector<std::unordered_map<std::string, size_t>>(n));
-    for (size_t i = 0; i < users.size(); ++i) {
-      const Profile& p = table.Get(users[i]);
-      for (AttributeId a = 0; a < n; ++a) {
-        if (p.IsMissing(a)) continue;
-        ++counts[assignment[i]][a][p.value(a)];
-      }
-    }
-    for (size_t c = 0; c < k; ++c) {
-      for (AttributeId a = 0; a < n; ++a) {
-        const auto& cnt = counts[c][a];
-        if (cnt.empty()) continue;
-        auto best = cnt.begin();
-        for (auto it = cnt.begin(); it != cnt.end(); ++it) {
-          if (it->second > best->second ||
-              (it->second == best->second && it->first < best->first)) {
-            best = it;
-          }
-        }
-        modes[c][a] = best->first;
-      }
-    }
-  }
-
-  std::vector<size_t> remap(k, SIZE_MAX);
-  result.assignments.resize(users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    size_t c = assignment[i];
-    if (remap[c] == SIZE_MAX) {
-      remap[c] = result.clusters.size();
-      result.clusters.emplace_back();
-    }
-    result.assignments[i] = remap[c];
-    result.clusters[remap[c]].push_back(users[i]);
-  }
-  return result;
-}
-
-TEST(EncodedEquivalenceTest, KModesMatchesNaiveStringReference) {
-  OwnerDataset ds = MakeDataset(233, 200);
-  std::vector<UserId> users = WithEdgeCaseUsers(&ds.profiles, ds.strangers);
-  size_t n = ds.profiles.schema().num_attributes();
-
-  for (size_t k : {size_t{2}, size_t{5}, size_t{12}}) {
-    KModesConfig config;
-    config.k = k;
-    auto kmodes = KModes::Create(ds.profiles.schema(), config).value();
-    // Same-seeded Rngs: each path consumes exactly one UniformInt for the
-    // first seed, so their draws stay aligned.
-    Rng encoded_rng(97), reference_rng(97);
-    Clustering encoded =
-        kmodes.Cluster(ds.profiles, users, &encoded_rng).value();
-    Clustering expected =
-        NaiveKModes(ds.profiles, users, std::vector<double>(n, 1.0), k,
-                    config.max_iterations, &reference_rng);
-    EXPECT_EQ(encoded.assignments, expected.assignments) << "k=" << k;
-    EXPECT_EQ(encoded.clusters, expected.clusters) << "k=" << k;
   }
 }
 

@@ -1,6 +1,7 @@
 #include "service/risk_service.h"
 
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -727,6 +728,15 @@ TEST(RiskServiceTest, ImportLabelsValidatesAtomically) {
   bad[ds.strangers[0]] = 2.0;
   bad[ds.strangers[1]] = 9.0;  // out of range
   EXPECT_FALSE(service->ImportLabels(ds.owner, bad).ok());
+  EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
+  EXPECT_EQ(service->NumStrangers(ds.owner).value(), 0u);
+
+  // NaN fails every comparison; it must not slip through the range test.
+  PoolLearner::KnownLabels nan_label;
+  nan_label[ds.strangers[0]] = 2.0;
+  nan_label[ds.strangers[1]] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(service->ImportLabels(ds.owner, nan_label).code(),
+            StatusCode::kOutOfRange);
   EXPECT_EQ(service->NumKnownLabels(ds.owner).value(), 0u);
   EXPECT_EQ(service->NumStrangers(ds.owner).value(), 0u);
 

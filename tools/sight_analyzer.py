@@ -103,8 +103,6 @@ HOT_REBUILD_CTORS = {"ProfileCodec"}
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
     "PoolLearner::Create",            # CSR compaction of a newly built pool
-    "SimilarityMatrix::MergeCompact", # falls back to Compact when never built
-    "KModes::Cluster",                # string-path clustering encodes once
     "ValueFrequencyTable::Build",     # frequency tables own a codec
     "ValueFrequencyTable::BuildFromCodes",
     "ProfileSimilarity::Create",      # similarity setup owns a codec
