@@ -264,6 +264,79 @@ void BM_HarmonicPredictCgSparsified(benchmark::State& state) {
 }
 BENCHMARK(BM_HarmonicPredictCgSparsified)->Arg(400)->Arg(2000)->Arg(8000);
 
+// Fully dense PS-like pool: every pair has a positive weight, which is
+// what the PS fill leaves in a paper-scale pool.
+SimilarityMatrix MakeDenseGraph(size_t n) {
+  Rng rng(43);
+  SimilarityMatrix m(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      m.Set(i, j, rng.UniformDouble(0.05, 1.0));
+    }
+  }
+  return m;
+}
+
+// One cold solve walking a pinned view of the weights: the packed
+// triangle (csr=0) or the compacted CSR (csr=1), on a fully dense graph
+// (dense=1) or the 20%-density random graph (dense=0). Solves through
+// the public API pick the CSR only when it is the smaller of the two.
+void RunPinnedWalk(benchmark::State& state, HarmonicSolver solver,
+                   const LabeledSet& labeled) {
+  size_t n = static_cast<size_t>(state.range(0));
+  SimilarityMatrix m = state.range(1) != 0 ? MakeDenseGraph(n)
+                                           : MakeRandomGraph(n);
+  internal::WeightWalk walk = internal::WeightWalk::kTriangle;
+  if (state.range(2) != 0) {
+    m.Compact();
+    walk = internal::WeightWalk::kCsr;
+  }
+  HarmonicConfig config;
+  config.solver = solver;
+  auto classifier = HarmonicFunctionClassifier::Create(config).value();
+  SolveStats stats;
+  for (auto _ : state) {
+    auto f = internal::PredictWithWalk(classifier, m, labeled, nullptr,
+                                       &stats, walk);
+    benchmark::DoNotOptimize(f);
+  }
+  state.counters["iters"] = static_cast<double>(stats.iterations);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+
+void BM_HarmonicCgWalk(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  RunPinnedWalk(state, HarmonicSolver::kConjugateGradient, MakeLabels(n));
+}
+BENCHMARK(BM_HarmonicCgWalk)
+    ->ArgNames({"n", "dense", "csr"})
+    ->ArgsProduct({{400, 1300, 2000}, {1, 0}, {0, 1}});
+
+// Gauss-Seidel as kAuto picks it on a large pool late in its rounds:
+// n = 1500 with 1400 labeled, so 100 unlabeled rows.
+void BM_HarmonicGsWalk(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  LabeledSet labeled;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 15 != 7) labeled.Add(i, 1.0 + static_cast<double>(i % 3));
+  }
+  RunPinnedWalk(state, HarmonicSolver::kGaussSeidel, labeled);
+}
+BENCHMARK(BM_HarmonicGsWalk)
+    ->ArgNames({"n", "dense", "csr"})
+    ->ArgsProduct({{1500}, {1, 0}, {0, 1}});
+
+// Forced Gauss-Seidel with 10% labeled, as perf_pipeline's harmonic rows
+// run it: nearly every row is unlabeled, so the gathered block is most
+// of the matrix and many sweeps amortise it.
+void BM_HarmonicGsWalkForced(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  RunPinnedWalk(state, HarmonicSolver::kGaussSeidel, MakeLabels(n));
+}
+BENCHMARK(BM_HarmonicGsWalkForced)
+    ->ArgNames({"n", "dense", "csr"})
+    ->ArgsProduct({{2000}, {1, 0}, {0, 1}});
+
 // Append-only label history shared by the warm/cold chain benches:
 // a 10-label seed round followed by five rounds of 3 labels, matching
 // the ActiveLearner's seed + labels_per_round cadence.
@@ -330,7 +403,7 @@ void BM_HarmonicColdReplayChain(benchmark::State& state) {
 }
 BENCHMARK(BM_HarmonicColdReplayChain)->Arg(400)->Arg(2000);
 
-// Full CSR rebuild from the packed store (the BuildCsr linear walk).
+// Full CSR rebuild from the packed store (Compact()'s linear walk).
 void BM_SimilarityCompact(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   SimilarityMatrix base = MakeRandomGraph(n);

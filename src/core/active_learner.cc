@@ -94,9 +94,10 @@ Result<PoolLearner> PoolLearner::Create(
     weights.SparsifyTopK(config.sparsify_top_k);
   }
   // The learner graph is immutable from here on and the classifier solves
-  // on it every round: materialize the CSR neighbor view once so those
-  // solves iterate neighbor lists instead of dense rows.
-  weights.Compact();
+  // on it every round. A sparse graph (top-k) gets its CSR neighbor view
+  // once so those solves iterate neighbor lists; a dense one is solved
+  // straight off the packed triangle, which is smaller than its CSR.
+  if (weights.CsrIsSmaller()) weights.Compact();
   PoolLearner learner(pool, std::move(weights),
                       std::move(display_similarity),
                       std::move(display_benefit), config, classifier,

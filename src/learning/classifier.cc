@@ -34,6 +34,12 @@ Status ValidateLabeledSet(size_t n, const LabeledSet& labeled) {
   if (labeled.size() == 0) {
     return Status::InvalidArgument("labeled set is empty");
   }
+  for (double value : labeled.values) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(
+          StrFormat("labeled value %f is not finite", value));
+    }
+  }
   std::unordered_set<size_t> seen;
   for (size_t idx : labeled.indices) {
     if (idx >= n) {

@@ -96,8 +96,8 @@ class GraphClassifier {
 };
 
 namespace internal {
-/// Shared validation: labeled set non-empty, indices in range, no
-/// duplicates.
+/// Shared validation: labeled set non-empty, values finite, indices in
+/// range, no duplicates.
 [[nodiscard]] Status ValidateLabeledSet(size_t n, const LabeledSet& labeled);
 }  // namespace internal
 

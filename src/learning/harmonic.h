@@ -14,10 +14,14 @@
 //
 // Two solvers: Gauss-Seidel label propagation (default; monotone, simple)
 // and conjugate gradient on the Laplacian system (faster convergence on
-// poorly mixing graphs). Both iterate per-row neighbor lists (the
-// SimilarityMatrix compact view, built on the fly when the caller has not
-// compacted), so a sweep costs O(edges) rather than O(n^2). Isolated
-// unlabeled components fall back to the mean of the given labels.
+// poorly mixing graphs). Each pass walks one of two views of the weights,
+// chosen by the matrix's shape: the CSR neighbor lists when the matrix is
+// compacted and its CSR is smaller than the packed triangle
+// (SimilarityMatrix::CsrIsSmaller, e.g. after top-k sparsification), the
+// packed triangle otherwise (dense pools, and any matrix never
+// compacted). Both walks add the same terms in the same order, so the
+// results are bitwise identical (DESIGN.md §12). Isolated unlabeled
+// components fall back to the mean of the given labels.
 
 #ifndef SIGHT_LEARNING_HARMONIC_H_
 #define SIGHT_LEARNING_HARMONIC_H_
@@ -68,6 +72,27 @@ class HarmonicSolveState final : public ClassifierState {
   double last_residual_ = 0.0;
 };
 
+class HarmonicFunctionClassifier;
+
+namespace internal {
+
+/// Which view of the weights a harmonic solve walks. Every solve through
+/// the public API uses kByShape: the CSR neighbor lists iff the matrix is
+/// compacted and SimilarityMatrix::CsrIsSmaller(), the packed triangle
+/// otherwise. kCsr and kTriangle pin one walk, so the kernel-equivalence
+/// tests and the micro-benches can compare both on the same matrix;
+/// kCsr needs a compacted matrix.
+enum class WeightWalk { kByShape, kCsr, kTriangle };
+
+/// PredictWithState() with the walk pinned. For tests and benches only.
+[[nodiscard]]
+Result<std::vector<double>> PredictWithWalk(
+    const HarmonicFunctionClassifier& classifier,
+    const SimilarityMatrix& weights, const LabeledSet& labeled,
+    ClassifierState* state, SolveStats* stats, WeightWalk walk);
+
+}  // namespace internal
+
 enum class HarmonicSolver {
   kGaussSeidel,
   kConjugateGradient,
@@ -115,6 +140,11 @@ class HarmonicFunctionClassifier : public GraphClassifier {
   const HarmonicConfig& config() const { return config_; }
 
  private:
+  friend Result<std::vector<double>> internal::PredictWithWalk(
+      const HarmonicFunctionClassifier& classifier,
+      const SimilarityMatrix& weights, const LabeledSet& labeled,
+      ClassifierState* state, SolveStats* stats, internal::WeightWalk walk);
+
   explicit HarmonicFunctionClassifier(HarmonicConfig config)
       : config_(config) {}
 
@@ -123,17 +153,19 @@ class HarmonicFunctionClassifier : public GraphClassifier {
   [[nodiscard]]
   Result<std::vector<double>> Solve(const SimilarityMatrix& weights,
                                     const LabeledSet& labeled,
-                                    HarmonicSolveState* state,
-                                    SolveStats* stats) const;
+                                    ClassifierState* state, SolveStats* stats,
+                                    internal::WeightWalk walk) const;
 
-  std::vector<double> SolveGaussSeidel(const SimilarityMatrix& w,
+  /// `csr`: walk the CSR neighbor lists rather than the packed triangle.
+  std::vector<double> SolveGaussSeidel(const SimilarityMatrix& w, bool csr,
                                        const std::vector<bool>& is_labeled,
                                        std::vector<double> f,
                                        double label_mean,
                                        SolveStats* stats) const;
   std::vector<double> SolveConjugateGradient(
-      const SimilarityMatrix& w, const std::vector<bool>& is_labeled,
-      std::vector<double> f, double label_mean, SolveStats* stats) const;
+      const SimilarityMatrix& w, bool csr,
+      const std::vector<bool>& is_labeled, std::vector<double> f,
+      double label_mean, SolveStats* stats) const;
 
   HarmonicConfig config_;
 };

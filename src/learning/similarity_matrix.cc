@@ -1,13 +1,26 @@
 #include "learning/similarity_matrix.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
 namespace sight {
+namespace {
+
+// A weight is finite and >= 0. Written so that NaN, which fails every
+// comparison, fails the check. The CSR view keeps only w > 0, and the
+// triangle walk in the harmonic solver adds every entry; they agree
+// bitwise only because a zero weight contributes an exact +-0.0 term.
+bool ValidWeight(double value) {
+  return value >= 0.0 && value <= std::numeric_limits<double>::max();
+}
+
+}  // namespace
 
 void SimilarityMatrix::Set(size_t i, size_t j, double value) {
   SIGHT_CHECK(i < n_ && j < n_);
+  SIGHT_CHECK(ValidWeight(value));
   if (i == j) return;
   data_[Index(i, j)] = value;
   InvalidateCompact();
@@ -17,6 +30,7 @@ void SimilarityMatrix::SetRowSpan(size_t i, size_t j0, const double* values,
                                   size_t count) {
   if (count == 0) return;
   SIGHT_CHECK(i < n_ && j0 + count <= i);
+  for (size_t k = 0; k < count; ++k) SIGHT_CHECK(ValidWeight(values[k]));
   // Index(i, j) = i * (i + 1) / 2 + j for j < i, so the span is
   // contiguous in the packed lower-triangle store.
   std::copy(values, values + count, data_.begin() +
@@ -79,10 +93,15 @@ size_t SimilarityMatrix::NumEdges() const {
   return count;
 }
 
-void SimilarityMatrix::BuildCsr(std::vector<size_t>* offsets,
-                                std::vector<Neighbor>* neighbors) const {
-  SIGHT_CHECK(offsets != nullptr && neighbors != nullptr);
-  offsets->assign(n_ + 1, 0);
+bool SimilarityMatrix::CsrIsSmaller() const {
+  size_t csr_bytes = 2 * NumEdges() * sizeof(Neighbor) +
+                     (n_ + 1) * sizeof(size_t);
+  return csr_bytes < sizeof(double) * data_.size();
+}
+
+void SimilarityMatrix::Compact() {
+  if (compacted_) return;
+  row_offsets_.assign(n_ + 1, 0);
   // Degree pass over the lower triangle (each edge counts at both ends),
   // shifted by one so the prefix sum lands directly in CSR offsets. The
   // scan order (i, j < i) is exactly the packed layout, so a linear
@@ -92,32 +111,27 @@ void SimilarityMatrix::BuildCsr(std::vector<size_t>* offsets,
   for (size_t i = 0; i < n_; ++i, ++entry) {
     for (size_t j = 0; j < i; ++j, ++entry) {
       if (*entry > 0.0) {
-        ++(*offsets)[i + 1];
-        ++(*offsets)[j + 1];
+        ++row_offsets_[i + 1];
+        ++row_offsets_[j + 1];
       }
     }
   }
-  for (size_t i = 0; i < n_; ++i) (*offsets)[i + 1] += (*offsets)[i];
-  neighbors->resize(offsets->back());
+  for (size_t i = 0; i < n_; ++i) row_offsets_[i + 1] += row_offsets_[i];
+  neighbors_.resize(row_offsets_.back());
   // Fill pass. Scanning (i, j<i) in ascending order appends ascending j
   // into row i and ascending i into row j, so every row ends up sorted by
   // neighbor index with no per-row sort.
-  std::vector<size_t> cursor(offsets->begin(), offsets->end() - 1);
+  std::vector<size_t> cursor(row_offsets_.begin(), row_offsets_.end() - 1);
   entry = data_.data();
   for (size_t i = 0; i < n_; ++i, ++entry) {
     for (size_t j = 0; j < i; ++j, ++entry) {
       double w = *entry;
       if (w > 0.0) {
-        (*neighbors)[cursor[i]++] = Neighbor{j, w};
-        (*neighbors)[cursor[j]++] = Neighbor{i, w};
+        neighbors_[cursor[i]++] = Neighbor{j, w};
+        neighbors_[cursor[j]++] = Neighbor{i, w};
       }
     }
   }
-}
-
-void SimilarityMatrix::Compact() {
-  if (compacted_) return;
-  BuildCsr(&row_offsets_, &neighbors_);
   compacted_ = true;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "learning/similarity_matrix.h"
 
 namespace sight {
@@ -48,6 +51,35 @@ TEST_P(HarmonicSolverTest, DuplicateIndexRejected) {
   labeled.Add(0, 1.0);
   labeled.Add(0, 2.0);
   EXPECT_FALSE(classifier().Predict(w, labeled).ok());
+}
+
+TEST_P(HarmonicSolverTest, NonFiniteLabelValueRejected) {
+  SimilarityMatrix w(3);
+  w.Set(0, 1, 1.0);
+  w.Set(1, 2, 1.0);
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    LabeledSet labeled;
+    labeled.Add(0, 1.0);
+    labeled.Add(2, bad);
+    EXPECT_EQ(classifier().Predict(w, labeled).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_P(HarmonicSolverTest, NonFiniteWarmStartRejected) {
+  SimilarityMatrix w(3);
+  w.Set(0, 1, 1.0);
+  w.Set(1, 2, 1.0);
+  LabeledSet labeled;
+  labeled.Add(0, 1.0);
+  auto state = classifier().MakeState();
+  state->SeedSolution({1.0, std::nan(""), 2.0});
+  EXPECT_EQ(classifier()
+                .PredictWithState(w, labeled, state.get(), nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_P(HarmonicSolverTest, LabeledNodesKeepTheirValues) {

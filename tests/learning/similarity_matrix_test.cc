@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace sight {
 namespace {
 
@@ -203,22 +206,60 @@ TEST(SimilarityMatrixCompactTest, CompactIsIdempotentAndHandlesEdgeSizes) {
   EXPECT_TRUE(m.compacted());
 }
 
-TEST(SimilarityMatrixCompactTest, BuildCsrOnConstMatrixMatchesCompact) {
-  SimilarityMatrix m = MakeRandomMatrix(20, 0.3, 42);
-  const SimilarityMatrix& view = m;
-  std::vector<size_t> offsets;
-  std::vector<Neighbor> neighbors;
-  view.BuildCsr(&offsets, &neighbors);
+TEST(SimilarityMatrixTest, RowSumIgnoresZeroWeightsBeforeAndAfterCompact) {
+  SimilarityMatrix m(4);
+  m.Set(3, 0, 0.25);
+  m.Set(3, 1, 0.0);
+  m.Set(3, 2, 0.25);
+  double before = m.RowSum(3);
   m.Compact();
-  ASSERT_EQ(offsets.size(), m.size() + 1);
+  EXPECT_EQ(before, 0.5);
+  EXPECT_EQ(m.RowSum(3), before);
+}
+
+TEST(SimilarityMatrixTest, CsrIsSmallerOnlyForSparseMatrices) {
+  EXPECT_FALSE(SimilarityMatrix(0).CsrIsSmaller());
+  EXPECT_FALSE(SimilarityMatrix(1).CsrIsSmaller());
+  // Every pair positive: the CSR is 4x the triangle.
+  SimilarityMatrix dense = MakeRandomMatrix(50, 1.0, 5);
+  EXPECT_FALSE(dense.CsrIsSmaller());
+  dense.Compact();
+  EXPECT_FALSE(dense.CsrIsSmaller());
+  // Top-3 of 200 nodes keeps at most 600 edges:
+  // 2 * 600 * 16 + 201 * 8 = 20808 < 8 * 200 * 201 / 2 = 160800.
+  SimilarityMatrix sparse = MakeRandomMatrix(200, 1.0, 6);
+  sparse.SparsifyTopK(3);
+  EXPECT_TRUE(sparse.CsrIsSmaller());
+  sparse.Compact();
+  EXPECT_TRUE(sparse.CsrIsSmaller());
+}
+
+TEST(SimilarityMatrixTest, PackedRowExposesTheLowerTriangle) {
+  SimilarityMatrix m = MakeRandomMatrix(9, 0.7, 8);
   for (size_t i = 0; i < m.size(); ++i) {
-    auto row = m.Neighbors(i);
-    ASSERT_EQ(offsets[i + 1] - offsets[i], row.size());
-    for (size_t t = 0; t < row.size(); ++t) {
-      EXPECT_EQ(neighbors[offsets[i] + t].index, row[t].index);
-      EXPECT_DOUBLE_EQ(neighbors[offsets[i] + t].weight, row[t].weight);
-    }
+    const double* row = m.PackedRow(i);
+    for (size_t j = 0; j <= i; ++j) EXPECT_EQ(row[j], m.Get(i, j));
   }
+}
+
+TEST(SimilarityMatrixDeathTest, SetRejectsNegativeAndNonFiniteWeights) {
+  SimilarityMatrix m(4);
+  EXPECT_DEATH(m.Set(3, 1, -0.25), "check failed");
+  EXPECT_DEATH(m.Set(3, 1, std::nan("")), "check failed");
+  EXPECT_DEATH(m.Set(3, 1, std::numeric_limits<double>::infinity()),
+               "check failed");
+  m.Set(3, 1, 0.0);  // zero means "no edge" and is fine
+  EXPECT_EQ(m.NumEdges(), 0u);
+}
+
+TEST(SimilarityMatrixDeathTest, SetRowSpanRejectsNegativeAndNonFiniteWeights) {
+  SimilarityMatrix m(4);
+  const double negative[] = {0.5, -1.0};
+  const double nan[] = {std::nan(""), 0.5};
+  const double inf[] = {0.5, -std::numeric_limits<double>::infinity()};
+  EXPECT_DEATH(m.SetRowSpan(3, 0, negative, 2), "check failed");
+  EXPECT_DEATH(m.SetRowSpan(3, 0, nan, 2), "check failed");
+  EXPECT_DEATH(m.SetRowSpan(3, 1, inf, 2), "check failed");
 }
 
 }  // namespace
