@@ -270,15 +270,15 @@ TraceStudy RunTraceStudy(size_t num_strangers, size_t batch_size,
             .value();
     Rng rng_a(4242);
     Rng rng_b(4242);
-    const PoolLearner::KnownLabels* labels =
-        service->KnownLabelsView(ds.owner).value();
+    const PoolLearner::KnownLabels labels =
+        service->KnownLabels(ds.owner).value();
     RiskReport service_report =
         service->AssessNow(ds.owner, &gate_oracle_a, &rng_a).value();
     RiskReport engine_report =
         engine
             .Assess(ds.graph, ds.profiles, ds.visibility, ds.owner,
                     crawler.discovered(), &gate_oracle_b, &rng_b,
-                    labels->empty() ? nullptr : labels)
+                    labels.empty() ? nullptr : &labels)
             .value();
     study.assess_now_bitwise_equal =
         ReportsBitwiseEqual(service_report, engine_report);

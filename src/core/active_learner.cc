@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "similarity/ps_kernels.h"
@@ -46,16 +45,10 @@ bool PoolLearner::CanResume(const StrangerPool& pool,
   // this learner's labels, bit-identical — a label this learner has not
   // incorporated (e.g. imported from another process) forces a rebuild
   // so the seeding path picks it up.
-  std::unordered_map<size_t, double> by_index;
-  by_index.reserve(labeled_.size());
-  for (size_t k = 0; k < labeled_.size(); ++k) {
-    by_index[labeled_.indices[k]] = labeled_.values[k];
-  }
   for (size_t i = 0; i < members_.size(); ++i) {
     auto it = known_labels->find(members_[i]);
     if (it == known_labels->end()) continue;
-    auto have = by_index.find(i);
-    if (have == by_index.end() || have->second != it->second) return false;
+    if (!is_labeled_[i] || label_values_[i] != it->second) return false;
   }
   return true;
 }
@@ -115,6 +108,7 @@ Result<PoolLearner> PoolLearner::Create(
       }
       learner.labeled_.Add(i, it->second);
       learner.is_labeled_[i] = true;
+      learner.label_values_[i] = it->second;
       ++learner.seeded_count_;
     }
   }
@@ -155,6 +149,7 @@ PoolLearner::PoolLearner(const StrangerPool& pool, SimilarityMatrix weights,
       display_benefit_(std::move(display_benefit)), config_(config),
       classifier_(classifier), sampler_(sampler),
       is_labeled_(pool.members.size(), false),
+      label_values_(pool.members.size(), 0.0),
       predictions_(pool.members.size(), 0.0),
       solve_state_(classifier->MakeState()) {}
 
@@ -234,6 +229,7 @@ Result<RoundRecord> PoolLearner::RunRound(LabelOracle* oracle, Rng* rng) {
   for (size_t i = 0; i < picked.size(); ++i) {
     labeled_.Add(picked[i], owner_values[i]);
     is_labeled_[picked[i]] = true;
+    label_values_[picked[i]] = owner_values[i];
   }
 
   // 4. Retrain / repredict.
@@ -305,14 +301,17 @@ RiskLabel PoolLearner::PredictedLabel(size_t i) const {
 
 Result<ActiveLearner> ActiveLearner::Create(
     const PoolSet& pools, const ProfileTable& profiles,
-    const StrangerEncodeCache& encode, std::vector<double> display_benefits,
-    ActiveLearnerConfig config, const GraphClassifier* classifier,
-    const Sampler* sampler, const PoolLearner::KnownLabels* known_labels,
+    const StrangerEncodeCache& encode,
+    const std::vector<double>& display_benefits, ActiveLearnerConfig config,
+    const GraphClassifier* classifier, const Sampler* sampler,
+    const PoolLearner::KnownLabels* known_labels,
     const PoolLearner::KnownLabels* prior_scores, LearnerCarry* carry) {
   SIGHT_RETURN_IF_ERROR(config.Validate());
-  if (display_benefits.size() != pools.strangers.size()) {
+  if (display_benefits.size() != pools.strangers.size() ||
+      pools.network_similarities.size() != pools.strangers.size()) {
     return Status::InvalidArgument(
-        "display_benefits must be parallel to the pool set's strangers");
+        "display_benefits and network_similarities must be parallel to the "
+        "pool set's strangers");
   }
   if (classifier == nullptr || sampler == nullptr) {
     return Status::InvalidArgument("classifier and sampler are required");
@@ -323,15 +322,27 @@ Result<ActiveLearner> ActiveLearner::Create(
         "table");
   }
 
+  // Every member's NS and benefit are read through its position in the
+  // stranger list, each position checked against that list first.
   ActiveLearner learner;
-  learner.strangers_ = pools.strangers;
-  learner.network_similarities_ = pools.network_similarities;
-  learner.benefits_ = std::move(display_benefits);
-
-  std::unordered_map<UserId, size_t> position;
-  position.reserve(pools.strangers.size());
-  for (size_t i = 0; i < pools.strangers.size(); ++i) {
-    position[pools.strangers[i]] = i;
+  learner.member_ns_.reserve(pools.strangers.size());
+  learner.member_benefits_.reserve(pools.strangers.size());
+  for (const StrangerPool& pool : pools.pools) {
+    if (pool.positions.size() != pool.members.size()) {
+      return Status::InvalidArgument(
+          "pool positions must be parallel to pool members");
+    }
+    for (size_t i = 0; i < pool.members.size(); ++i) {
+      size_t at = pool.positions[i];
+      if (at >= pools.strangers.size() ||
+          pools.strangers[at] != pool.members[i]) {
+        return Status::InvalidArgument(
+            StrFormat("pool member %u missing from the stranger list",
+                      pool.members[i]));
+      }
+      learner.member_ns_.push_back(pools.network_similarities[at]);
+      learner.member_benefits_.push_back(display_benefits[at]);
+    }
   }
 
   SIGHT_ASSIGN_OR_RETURN(ProfileSimilarity ps,
@@ -345,6 +356,7 @@ Result<ActiveLearner> ActiveLearner::Create(
   // learners are consumed either way — unmatched ones are stale (their
   // pool changed shape) and are dropped with the carry.
   std::vector<std::optional<PoolLearner>> carried(num_pools);
+  learner.pool_carried_.assign(num_pools, false);
   if (carry != nullptr) {
     std::vector<bool> consumed(carry->retained_.size(), false);
     for (size_t p = 0; p < num_pools; ++p) {
@@ -355,7 +367,7 @@ Result<ActiveLearner> ActiveLearner::Create(
         }
         carried[p].emplace(std::move(carry->retained_[r]));
         consumed[r] = true;
-        ++learner.pools_carried_;
+        learner.pool_carried_[p] = true;
         break;
       }
     }
@@ -393,17 +405,11 @@ Result<ActiveLearner> ActiveLearner::Create(
         ValueFrequencyTable::BuildFromCodes(rows[p].data(), n, num_attributes));
     weights.emplace_back(n);
     total_pairs += n * (n - 1) / 2;
-    sims[p].assign(n, 0.0);
-    bens[p].assign(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      auto it = position.find(pool.members[i]);
-      if (it == position.end()) {
-        return Status::InvalidArgument(
-            StrFormat("pool member %u missing from the stranger list",
-                      pool.members[i]));
-      }
-      sims[p][i] = pools.network_similarities[it->second];
-      bens[p][i] = learner.benefits_[it->second];
+    sims[p].reserve(n);
+    bens[p].reserve(n);
+    for (size_t at : pool.positions) {
+      sims[p].push_back(pools.network_similarities[at]);
+      bens[p].push_back(display_benefits[at]);
     }
   }
 
@@ -473,7 +479,10 @@ Result<AssessmentResult> ActiveLearner::Run(LabelOracle* oracle, Rng* rng) {
   }
   AssessmentResult result;
   result.pools_total = learners_.size();
-  result.pools_carried = pools_carried_;
+  result.pool_carried = pool_carried_;
+  result.pools_carried = static_cast<size_t>(
+      std::count(pool_carried_.begin(), pool_carried_.end(), true));
+  result.strangers.reserve(member_ns_.size());
 
   double rounds_sum = 0.0;
   for (size_t li = 0; li < learners_.size(); ++li) {
@@ -508,23 +517,13 @@ Result<AssessmentResult> ActiveLearner::Run(LabelOracle* oracle, Rng* rng) {
       sa.predicted_score = learner.predictions()[i];
       sa.predicted_label = learner.PredictedLabel(i);
       sa.owner_labeled = learner.IsOwnerLabeled(i);
+      sa.network_similarity = member_ns_[result.strangers.size()];
+      sa.benefit = member_benefits_[result.strangers.size()];
       result.strangers.push_back(sa);
     }
   }
   if (!learners_.empty()) {
     result.mean_rounds = rounds_sum / static_cast<double>(learners_.size());
-  }
-
-  // Attach NS/benefit using the stranger list order.
-  std::unordered_map<UserId, size_t> position;
-  position.reserve(strangers_.size());
-  for (size_t i = 0; i < strangers_.size(); ++i) position[strangers_[i]] = i;
-  for (StrangerAssessment& sa : result.strangers) {
-    auto it = position.find(sa.stranger);
-    if (it != position.end()) {
-      sa.network_similarity = network_similarities_[it->second];
-      sa.benefit = benefits_[it->second];
-    }
   }
   return result;
 }

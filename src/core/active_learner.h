@@ -250,6 +250,9 @@ class PoolLearner {
   LabeledSet labeled_;
   size_t seeded_count_ = 0;
   std::vector<bool> is_labeled_;
+  // Owner label of member i, valid where is_labeled_[i]; written next to
+  // every labeled_.Add so CanResume checks labels without a lookup table.
+  std::vector<double> label_values_;
   std::vector<double> predictions_;
   bool has_predictions_ = false;
 
@@ -297,6 +300,11 @@ struct AssessmentResult {
   /// re-convergence rounds) — only non-zero when a LearnerCarry was
   /// supplied.
   size_t pools_carried = 0;
+  /// Per pool (indexed like StrangerAssessment::pool_index): true when a
+  /// carried learner served it. Its learner ran no round this
+  /// assessment, so its members' scores are exactly the ones reported
+  /// by the assessment that last ran it.
+  std::vector<bool> pool_carried;
   /// Mean rounds per pool until it finished.
   double mean_rounds = 0.0;
   /// Exact-match validation across pools (the paper's 83.36% metric).
@@ -314,7 +322,9 @@ struct AssessmentResult {
 /// Orchestrates PoolLearners over a PoolSet.
 class ActiveLearner {
  public:
-  /// `display_benefits` is parallel to `pools.strangers`. `encode` is
+  /// `display_benefits` is parallel to `pools.strangers`, and every
+  /// pool's `positions` must index its members in `pools.strangers`
+  /// (PoolBuilder fills them). `encode` is
   /// the owner-level encoded stranger table, refreshed against `profiles`
   /// and `pools.strangers` this tick; every pool gathers its member rows
   /// from it. `classifier` and `sampler` must outlive the learner.
@@ -328,9 +338,9 @@ class ActiveLearner {
   [[nodiscard]]
   static Result<ActiveLearner> Create(
       const PoolSet& pools, const ProfileTable& profiles,
-      const StrangerEncodeCache& encode, std::vector<double> display_benefits,
-      ActiveLearnerConfig config, const GraphClassifier* classifier,
-      const Sampler* sampler,
+      const StrangerEncodeCache& encode,
+      const std::vector<double>& display_benefits, ActiveLearnerConfig config,
+      const GraphClassifier* classifier, const Sampler* sampler,
       const PoolLearner::KnownLabels* known_labels = nullptr,
       const PoolLearner::KnownLabels* prior_scores = nullptr,
       LearnerCarry* carry = nullptr);
@@ -346,13 +356,13 @@ class ActiveLearner {
  private:
   ActiveLearner() = default;
 
-  size_t pools_carried_ = 0;
+  std::vector<bool> pool_carried_;
   std::vector<PoolLearner> learners_;
   std::vector<size_t> pool_of_learner_;
-  // Parallel to the PoolSet's stranger list.
-  std::vector<UserId> strangers_;
-  std::vector<double> network_similarities_;
-  std::vector<double> benefits_;
+  // NS and benefit of every pool member, gathered through the pools'
+  // positions in learner order (the order Run reports strangers in).
+  std::vector<double> member_ns_;
+  std::vector<double> member_benefits_;
 };
 
 }  // namespace sight

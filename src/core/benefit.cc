@@ -1,5 +1,7 @@
 #include "core/benefit.h"
 
+#include <algorithm>
+
 namespace sight {
 
 ThetaWeights ThetaWeights::Uniform() {
@@ -55,6 +57,39 @@ std::vector<double> BenefitModel::ComputeBatch(
   result.reserve(strangers.size());
   for (UserId s : strangers) result.push_back(Compute(visibility, s));
   return result;
+}
+
+const std::vector<double>& BenefitCache::Refresh(
+    const BenefitModel& model, const VisibilityTable& visibility,
+    const std::vector<UserId>& strangers) {
+  bool reuse = visibility_ == &visibility &&
+               visibility_epoch_ == visibility.mutation_epoch() &&
+               theta_.values == model.theta().values &&
+               strangers_.size() <= strangers.size() &&
+               std::equal(strangers_.begin(), strangers_.end(),
+                          strangers.begin());
+  if (!reuse) {
+    Clear();
+    visibility_ = &visibility;
+    visibility_epoch_ = visibility.mutation_epoch();
+    theta_ = model.theta();
+  }
+  if (strangers_.size() < strangers.size()) {
+    std::vector<UserId> suffix(
+        strangers.begin() + static_cast<ptrdiff_t>(strangers_.size()),
+        strangers.end());
+    std::vector<double> values = model.ComputeBatch(visibility, suffix);
+    strangers_.insert(strangers_.end(), suffix.begin(), suffix.end());
+    benefits_.insert(benefits_.end(), values.begin(), values.end());
+  }
+  return benefits_;
+}
+
+void BenefitCache::Clear() {
+  visibility_ = nullptr;
+  visibility_epoch_ = 0;
+  strangers_.clear();
+  benefits_.clear();
 }
 
 }  // namespace sight

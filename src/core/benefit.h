@@ -10,6 +10,7 @@
 #define SIGHT_CORE_BENEFIT_H_
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "graph/types.h"
@@ -61,6 +62,34 @@ class BenefitModel {
   explicit BenefitModel(ThetaWeights theta) : theta_(theta) {}
 
   ThetaWeights theta_;
+};
+
+/// One owner's benefit vector carried across serving ticks (DESIGN.md
+/// §14). Benefit depends only on the visibility table, the theta weights
+/// and the stranger, so the carried values stay exact while the
+/// visibility table (identity and mutation epoch) and theta are
+/// unchanged. The stranger list follows the append-only rule of
+/// StrangerEncodeCache: an identical list reuses the vector, a grown one
+/// computes only the new suffix, and anything else recomputes it all.
+/// Every path returns bitwise what ComputeBatch over the whole list
+/// would. Not thread-safe; one cache serves one owner.
+class BenefitCache {
+ public:
+  /// B(o, s) for every stranger, parallel to `strangers`; valid until
+  /// the next Refresh or Clear.
+  const std::vector<double>& Refresh(const BenefitModel& model,
+                                     const VisibilityTable& visibility,
+                                     const std::vector<UserId>& strangers);
+
+  /// Drops everything; the next Refresh recomputes the whole list.
+  void Clear();
+
+ private:
+  const VisibilityTable* visibility_ = nullptr;
+  uint64_t visibility_epoch_ = 0;
+  ThetaWeights theta_{};
+  std::vector<UserId> strangers_;
+  std::vector<double> benefits_;
 };
 
 }  // namespace sight

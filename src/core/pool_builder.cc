@@ -14,6 +14,7 @@ void PoolPartitionCache::Clear() {
   ns_.clear();
   group_members_.clear();
   squeezers_.clear();
+  positions_.clear();
 }
 
 Result<PoolBuilder> PoolBuilder::Create(PoolBuilderConfig config) {
@@ -69,6 +70,7 @@ Result<PoolSet> PoolBuilder::BuildForStrangers(
     cache->Clear();
     cache->group_members_.assign(config_.alpha, {});
     cache->squeezers_.resize(config_.alpha);
+    cache->positions_.assign(config_.alpha, {});
     cache->graph_ = &graph;
     cache->graph_epoch_ = graph.mutation_epoch();
     cache->profiles_ = &profiles;
@@ -104,19 +106,26 @@ Result<PoolSet> PoolBuilder::BuildForStrangers(
     // carried prefix plus this suffix clusters exactly like the whole
     // list at once.
     std::vector<std::vector<UserId>> routed(config_.alpha);
+    std::vector<std::vector<size_t>> routed_positions(config_.alpha);
     for (size_t k = 0; k < suffix.size(); ++k) {
       SIGHT_ASSIGN_OR_RETURN(
           size_t x, NetworkSimilarityGroups::GroupOf(suffix_ns[k],
                                                      config_.alpha));
       routed[x].push_back(suffix[k]);
+      routed_positions[x].push_back(start + k);
     }
     cache->strangers_.insert(cache->strangers_.end(), suffix.begin(),
                              suffix.end());
     cache->ns_.insert(cache->ns_.end(), suffix_ns.begin(), suffix_ns.end());
     if (config_.strategy == PoolStrategy::kNetworkOnly) {
       for (size_t x = 0; x < config_.alpha; ++x) {
+        if (routed[x].empty()) continue;
         cache->group_members_[x].insert(cache->group_members_[x].end(),
                                         routed[x].begin(), routed[x].end());
+        cache->positions_[x].resize(1);
+        cache->positions_[x][0].insert(cache->positions_[x][0].end(),
+                                       routed_positions[x].begin(),
+                                       routed_positions[x].end());
       }
     } else {
       SqueezerConfig sq_config;
@@ -131,8 +140,16 @@ Result<PoolSet> PoolBuilder::BuildForStrangers(
                                  squeezer.MakeIncremental(profiles.schema()));
           cache->squeezers_[x].emplace(std::move(incremental));
         }
-        SIGHT_RETURN_IF_ERROR(
-            cache->squeezers_[x]->AddBatch(profiles, routed[x]).status());
+        SIGHT_ASSIGN_OR_RETURN(std::vector<size_t> assigned,
+                               cache->squeezers_[x]->AddBatch(profiles,
+                                                              routed[x]));
+        // Each new member's discovery index follows it into the cluster
+        // the squeezer chose, in the same insertion order.
+        std::vector<std::vector<size_t>>& clusters = cache->positions_[x];
+        clusters.resize(cache->squeezers_[x]->num_clusters());
+        for (size_t j = 0; j < assigned.size(); ++j) {
+          clusters[assigned[j]].push_back(routed_positions[x][j]);
+        }
       }
     }
   }
@@ -149,6 +166,7 @@ Result<PoolSet> PoolBuilder::BuildForStrangers(
       if (cache->group_members_[x].empty()) continue;
       StrangerPool pool;
       pool.members = cache->group_members_[x];
+      pool.positions = cache->positions_[x][0];
       pool.nsg_index = x;
       pool.cluster_index = 0;
       result.pools.push_back(std::move(pool));
@@ -159,6 +177,7 @@ Result<PoolSet> PoolBuilder::BuildForStrangers(
     for (size_t c = 0; c < clustering.num_clusters(); ++c) {
       StrangerPool pool;
       pool.members = clustering.clusters[c];
+      pool.positions = cache->positions_[x][c];
       pool.nsg_index = x;
       pool.cluster_index = c;
       result.pools.push_back(std::move(pool));

@@ -32,6 +32,11 @@ struct StrangerPool {
   size_t nsg_index = 0;
   /// Profile-cluster index within the group (0 for NSG-only pools).
   size_t cluster_index = 0;
+  /// Index of each member in `PoolSet::strangers`, parallel to
+  /// `members`: strangers[positions[i]] == members[i]. The builder fills
+  /// it from the discovery order, so consumers read per-stranger values
+  /// (NS, benefit) by index instead of looking members up by id.
+  std::vector<size_t> positions;
 };
 
 /// The pool set for one owner plus the data used to derive it.
@@ -122,6 +127,10 @@ class PoolPartitionCache {
   std::vector<double> ns_;
   std::vector<std::vector<UserId>> group_members_;          // [alpha]
   std::vector<std::optional<IncrementalSqueezer>> squeezers_;  // [alpha], NPP
+  // Discovery index of every pool member, [alpha][cluster][member]
+  // (one cluster per group for NSG-only pools), parallel to the member
+  // lists above.
+  std::vector<std::vector<std::vector<size_t>>> positions_;
   Stats stats_;
 };
 

@@ -8,6 +8,7 @@ void AssessCarry::Clear() {
   learners.Clear();
   partition.Clear();
   encode.Clear();
+  benefits.Clear();
   graph_ = nullptr;
   profiles_ = nullptr;
   visibility_ = nullptr;
@@ -124,8 +125,8 @@ Result<RiskReport> RiskEngine::Assess(
 
   SIGHT_ASSIGN_OR_RETURN(BenefitModel benefit,
                          BenefitModel::Create(config_.theta));
-  std::vector<double> benefits =
-      benefit.ComputeBatch(visibility, pools.strangers);
+  const std::vector<double>& benefits =
+      active->benefits.Refresh(benefit, visibility, pools.strangers);
 
   StrangerEncodeCache::RefreshResult refreshed =
       active->encode.Refresh(profiles, pools.strangers);
@@ -145,10 +146,9 @@ Result<RiskReport> RiskEngine::Assess(
   learner_config.thread_pool = effective_pool();
   SIGHT_ASSIGN_OR_RETURN(
       ActiveLearner learner,
-      ActiveLearner::Create(pools, profiles, active->encode,
-                            std::move(benefits), learner_config,
-                            classifier_.get(), sampler_.get(), known_labels,
-                            prior_scores, &active->learners));
+      ActiveLearner::Create(pools, profiles, active->encode, benefits,
+                            learner_config, classifier_.get(), sampler_.get(),
+                            known_labels, prior_scores, &active->learners));
 
   SIGHT_ASSIGN_OR_RETURN(report.assessment, learner.Run(oracle, rng));
   learner.HarvestInto(&active->learners);

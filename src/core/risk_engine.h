@@ -105,20 +105,22 @@ struct RiskReport {
 
 /// Cross-tick carry bundle for one owner (the resident-service flow,
 /// DESIGN.md §14): the finished PoolLearners of the previous tick, the
-/// carried NS/NSG/Squeezer pool partition, and the owner-level encoded
-/// profile table. Each layer fingerprints its own inputs and falls back
-/// to a cold rebuild independently; on top of that, the engine drops the
-/// learner carry whenever the graph, profile, or visibility tables
-/// mutated since the carry was filled (their fingerprints cannot see
-/// upstream edits that keep pool membership stable). The partition and
-/// encode layers are pure memoization: an empty carry, a warm one, or a
-/// cleared one give bitwise the same report. Only the learner layer
-/// changes what is asked — a carried pool asks the owner nothing new —
-/// so callers that want rebuild-per-tick semantics clear `learners`.
+/// carried NS/NSG/Squeezer pool partition, the owner-level encoded
+/// profile table, and the benefit vector. Each layer fingerprints its
+/// own inputs and falls back to a cold rebuild independently; on top of
+/// that, the engine drops the learner carry whenever the graph, profile,
+/// or visibility tables mutated since the carry was filled (their
+/// fingerprints cannot see upstream edits that keep pool membership
+/// stable). The partition, encode and benefit layers are pure
+/// memoization: an empty carry, a warm one, or a cleared one give
+/// bitwise the same report. Only the learner layer changes what is
+/// asked — a carried pool asks the owner nothing new — so callers that
+/// want rebuild-per-tick semantics clear `learners`.
 struct AssessCarry {
   LearnerCarry learners;
   PoolPartitionCache partition;
   StrangerEncodeCache encode;
+  BenefitCache benefits;
 
   /// Drops all carried state (fingerprints re-arm on the next tick).
   void Clear();

@@ -302,10 +302,16 @@ Result<RiskReport> RiskService::AssessLocked(OwnerState* state,
   if (!config_.carry_learners) state->carry.learners.Clear();
   if (!report.ok()) return report;
   // Remember this tick's converged scores so the next tick seeds its
-  // solves from them instead of the label mean.
-  state->last_scores.clear();
-  for (const StrangerAssessment& sa : report.value().assessment.strangers) {
-    state->last_scores[sa.stranger] = sa.predicted_score;
+  // solves from them instead of the label mean. Strangers are only ever
+  // appended and every report covers all of them, so writing the pools
+  // that ran leaves exactly the scores of this report: a carried pool
+  // ran no round, and its members still hold the scores written when
+  // its learner last ran.
+  const AssessmentResult& assessment = report.value().assessment;
+  for (const StrangerAssessment& sa : assessment.strangers) {
+    if (!assessment.pool_carried[sa.pool_index]) {
+      state->last_scores[sa.stranger] = sa.predicted_score;
+    }
   }
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -487,14 +493,14 @@ Result<size_t> RiskService::NumKnownLabels(UserId owner) const {
   return state->known_labels.size();
 }
 
-Result<const PoolLearner::KnownLabels*> RiskService::KnownLabelsView(
+Result<PoolLearner::KnownLabels> RiskService::KnownLabels(
     UserId owner) const {
   OwnerState* state = FindOwner(owner);
   if (state == nullptr) {
     return Status::NotFound(StrFormat("owner %u is not registered", owner));
   }
-  const PoolLearner::KnownLabels* view = &state->known_labels;
-  return view;
+  std::lock_guard<std::mutex> lock(state->mutex);
+  return state->known_labels;
 }
 
 RiskService::Stats RiskService::stats() const {

@@ -3,9 +3,9 @@
 //
 // A crawler serving many owners wants one long-lived server object that
 // carries per-owner state (the AssessCarry of RiskEngine: finished
-// PoolLearners, the pool partition, and the owner-level encoded
-// stranger table) across ticks, accepts events from any thread, and
-// assesses in the background:
+// PoolLearners, the pool partition, the owner-level encoded stranger
+// table, and the benefit vector) across ticks, accepts events from any
+// thread, and assesses in the background:
 //
 //   RiskServiceConfig config;                     // engine defaults
 //   auto service = RiskService::Create(std::move(config)).value();
@@ -206,10 +206,10 @@ class RiskService {
 
   [[nodiscard]] Result<size_t> NumStrangers(UserId owner) const;
   [[nodiscard]] Result<size_t> NumKnownLabels(UserId owner) const;
-  /// Stable pointer to the owner's label store (lives as long as the
-  /// owner's registration). NOT synchronized with background drains —
-  /// read it only after Flush() or in single-threaded use.
-  [[nodiscard]] Result<const PoolLearner::KnownLabels*> KnownLabelsView(
+  /// Copy of the owner's label store (every answer recorded so far plus
+  /// imported labels), taken under the owner lock, so it is safe to call
+  /// while background drains record new answers.
+  [[nodiscard]] Result<PoolLearner::KnownLabels> KnownLabels(
       UserId owner) const;
 
   struct Stats {
@@ -248,11 +248,13 @@ class RiskService {
     std::vector<UserId> strangers;  // discovery order, duplicate-free
     std::unordered_set<UserId> discovered;
     PoolLearner::KnownLabels known_labels;
-    /// Previous tick's predicted scores: the warm-start solve seed.
+    /// Latest reported score of every assessed stranger: the warm-start
+    /// solve seed. A tick writes only the members of the pools it
+    /// rebuilt; a carried pool's scores did not move.
     PoolLearner::KnownLabels last_scores;
     /// Resident cross-tick caches: finished learners, the pool
-    /// partition, and the owner-level encoded stranger table
-    /// (DESIGN.md §14).
+    /// partition, the owner-level encoded stranger table, and the
+    /// benefit vector (DESIGN.md §14).
     AssessCarry carry;
     uint64_t next_version = 1;
     std::shared_ptr<const AssessmentSnapshot> snapshot;
@@ -290,7 +292,8 @@ class RiskService {
   [[nodiscard]] Status ImportLabelsLocked(
       OwnerState* state, const PoolLearner::KnownLabels& labels);
   /// One warm assessment over current state; requires state->mutex
-  /// held. Records labels, updates last_scores, maintains the carry.
+  /// held. Records labels, writes last_scores for rebuilt pools,
+  /// maintains the carry.
   [[nodiscard]] Result<RiskReport> AssessLocked(OwnerState* state,
                                                LabelOracle* oracle, Rng* rng);
   /// Publishes `snapshot` for the owner; requires state->mutex held.

@@ -1,5 +1,6 @@
 #include "core/active_learner.h"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 
@@ -43,6 +44,20 @@ StrangerPool MakePool(std::vector<UserId> members) {
   StrangerPool pool;
   pool.members = std::move(members);
   return pool;
+}
+
+// Indexes every pool member in the pool set's stranger list, as
+// PoolBuilder does.
+void FillPositions(PoolSet* pools) {
+  for (StrangerPool& pool : pools->pools) {
+    pool.positions.clear();
+    for (UserId member : pool.members) {
+      auto it = std::find(pools->strangers.begin(), pools->strangers.end(),
+                          member);
+      pool.positions.push_back(
+          static_cast<size_t>(it - pools->strangers.begin()));
+    }
+  }
 }
 
 SimilarityMatrix UniformWeights(size_t n, double w = 0.8) {
@@ -378,6 +393,7 @@ TEST(ActiveLearnerTest, CreateRequiresAFreshCoveringEncode) {
   pools.strangers = {0, 1, 2, 3};
   pools.network_similarities = {0.1, 0.1, 0.1, 0.1};
   pools.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  FillPositions(&pools);
   LearnerParts parts;
   auto create = [&](const StrangerEncodeCache& encode) {
     return ActiveLearner::Create(pools, profiles, encode,
@@ -398,6 +414,36 @@ TEST(ActiveLearnerTest, CreateRequiresAFreshCoveringEncode) {
   EXPECT_EQ(create(encode).status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(ActiveLearnerTest, CreateRejectsPositionsThatMissTheStrangerList) {
+  ProfileTable profiles(ProfileSchema::Create({"g"}).value());
+  for (UserId u = 0; u < 4; ++u) {
+    ASSERT_TRUE(profiles.Set(u, Profile{{"x"}}).ok());
+  }
+  PoolSet pools;
+  pools.strangers = {0, 1, 2, 3};
+  pools.network_similarities = {0.1, 0.1, 0.1, 0.1};
+  pools.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  StrangerEncodeCache encode;
+  encode.Refresh(profiles, pools.strangers);
+  LearnerParts parts;
+  auto create = [&] {
+    return ActiveLearner::Create(pools, profiles, encode,
+                                 std::vector<double>(4, 0.0), parts.config,
+                                 &parts.classifier, &parts.sampler)
+        .status()
+        .code();
+  };
+  // Not filled, out of range, and pointing at another stranger.
+  EXPECT_EQ(create(), StatusCode::kInvalidArgument);
+  FillPositions(&pools);
+  pools.pools[1].positions[1] = 4;
+  EXPECT_EQ(create(), StatusCode::kInvalidArgument);
+  pools.pools[1].positions[1] = 0;
+  EXPECT_EQ(create(), StatusCode::kInvalidArgument);
+  pools.pools[1].positions[1] = 3;
+  EXPECT_EQ(create(), StatusCode::kOk);
+}
+
 TEST(ActiveLearnerTest, RunsAllPoolsAndAggregates) {
   // Two pools of three; all labels "not risky".
   ProfileSchema schema = ProfileSchema::Create({"gender"}).value();
@@ -415,6 +461,7 @@ TEST(ActiveLearnerTest, RunsAllPoolsAndAggregates) {
   StrangerPool b = MakePool({3, 4, 5});
   b.nsg_index = 5;
   pools.pools = {a, b};
+  FillPositions(&pools);
 
   StrangerEncodeCache encode;
   encode.Refresh(profiles, pools.strangers);
@@ -464,6 +511,7 @@ TEST(ActiveLearnerTest, RoundRecordsCarryPoolIndices) {
   pools.strangers = {0, 1, 2, 3};
   pools.network_similarities = {0.1, 0.1, 0.1, 0.1};
   pools.pools = {MakePool({0, 1}), MakePool({2, 3})};
+  FillPositions(&pools);
   StrangerEncodeCache encode;
   encode.Refresh(profiles, pools.strangers);
   LearnerParts parts;

@@ -203,9 +203,22 @@ void ExpectSamePoolSet(const PoolSet& got, const PoolSet& want) {
   ASSERT_EQ(got.pools.size(), want.pools.size());
   for (size_t p = 0; p < got.pools.size(); ++p) {
     EXPECT_EQ(got.pools[p].members, want.pools[p].members) << "pool " << p;
+    EXPECT_EQ(got.pools[p].positions, want.pools[p].positions) << "pool " << p;
     EXPECT_EQ(got.pools[p].nsg_index, want.pools[p].nsg_index);
     EXPECT_EQ(got.pools[p].cluster_index, want.pools[p].cluster_index);
   }
+}
+
+// Index of every member in `strangers` (which holds no duplicates),
+// found by search rather than carried through the build.
+std::vector<size_t> PositionsBySearch(const std::vector<UserId>& strangers,
+                                      const std::vector<UserId>& members) {
+  std::vector<size_t> positions;
+  for (UserId member : members) {
+    auto it = std::find(strangers.begin(), strangers.end(), member);
+    positions.push_back(static_cast<size_t>(it - strangers.begin()));
+  }
+  return positions;
 }
 
 // Definition 3 assembled from its parts — NS, NetworkSimilarityGroups,
@@ -228,13 +241,16 @@ PoolSet ReferencePools(const PoolBuilderConfig& config, const Fixture& fx,
   for (size_t x = 0; x < nsg.alpha(); ++x) {
     if (nsg.group(x).empty()) continue;
     if (config.strategy == PoolStrategy::kNetworkOnly) {
-      result.pools.push_back({nsg.group(x), x, 0});
+      result.pools.push_back({nsg.group(x), x, 0,
+                              PositionsBySearch(strangers, nsg.group(x))});
       continue;
     }
     Clustering clustering =
         squeezer.Cluster(fx.profiles, nsg.group(x)).value();
     for (size_t c = 0; c < clustering.num_clusters(); ++c) {
-      result.pools.push_back({clustering.clusters[c], x, c});
+      result.pools.push_back(
+          {clustering.clusters[c], x, c,
+           PositionsBySearch(strangers, clustering.clusters[c])});
     }
   }
   return result;
@@ -352,6 +368,49 @@ TEST(PoolBuilderTest, CachedBuildRebuildsOnInvalidation) {
                    .value();
   ExpectSamePoolSet(warm4, cold4);
   EXPECT_EQ(cache.stats().misses, 5u);
+}
+
+// strangers[positions[i]] == members[i] for every member of every pool.
+void ExpectPositionsIndexStrangers(const PoolSet& pools) {
+  for (size_t p = 0; p < pools.pools.size(); ++p) {
+    const StrangerPool& pool = pools.pools[p];
+    ASSERT_EQ(pool.positions.size(), pool.members.size()) << "pool " << p;
+    for (size_t i = 0; i < pool.members.size(); ++i) {
+      ASSERT_LT(pool.positions[i], pools.strangers.size());
+      EXPECT_EQ(pools.strangers[pool.positions[i]], pool.members[i])
+          << "pool " << p << " member " << i;
+    }
+  }
+}
+
+TEST(PoolBuilderTest, PositionsIndexTheStrangerList) {
+  for (PoolStrategy strategy :
+       {PoolStrategy::kNetworkAndProfile, PoolStrategy::kNetworkOnly}) {
+    Fixture fx;
+    auto builder = PoolBuilder::Create(DefaultConfig(strategy)).value();
+    PoolPartitionCache cache;
+    auto build = [&](const std::vector<UserId>& strangers) {
+      return builder
+          .BuildForStrangers(fx.graph, fx.profiles, fx.owner, strangers,
+                             &cache)
+          .value();
+    };
+    // Cold build.
+    ExpectPositionsIndexStrangers(build({7, 5, 9}));
+    EXPECT_EQ(cache.stats().misses, 1u);
+    // Identical reuse.
+    ExpectPositionsIndexStrangers(build({7, 5, 9}));
+    EXPECT_EQ(cache.stats().hits_identical, 1u);
+    // Grown reuse: the suffix's indices continue after the prefix.
+    ExpectPositionsIndexStrangers(build({7, 5, 9, 10, 6, 8}));
+    EXPECT_EQ(cache.stats().hits_grown, 1u);
+    // Broken prefix: a cold rebuild re-indexes everything.
+    ExpectPositionsIndexStrangers(build({8, 6, 10, 9, 5, 7}));
+    EXPECT_EQ(cache.stats().misses, 2u);
+    // And the stand-alone build (no carried partition).
+    ExpectPositionsIndexStrangers(
+        builder.Build(fx.graph, fx.profiles, fx.owner).value());
+  }
 }
 
 TEST(PoolBuilderTest, BuildForStrangersHonorsSubset) {

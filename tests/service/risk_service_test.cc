@@ -648,8 +648,8 @@ TEST(RiskServiceTest, CarriedLabelsAreReflectedInAssessments) {
     Rng rng(23);
     ASSERT_TRUE(service->AssessSync(ds.owner, &oracle, &rng).ok());
     auto report = service->AssessSync(ds.owner, &oracle, &rng).value();
-    const PoolLearner::KnownLabels& known =
-        *service->KnownLabelsView(ds.owner).value();
+    const PoolLearner::KnownLabels known =
+        service->KnownLabels(ds.owner).value();
     // Every stranger the oracle ever labeled is marked owner-labeled with
     // exactly that label.
     std::map<UserId, RiskLabel> by_id;

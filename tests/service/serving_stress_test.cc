@@ -3,7 +3,10 @@
 // and WaitFor concurrently. Run under TSan via the `serving` ctest
 // label (tools/check.sh tsan leg).
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,6 +162,67 @@ TEST(ServingStressTest, ShutdownRacesWithSubmitters) {
   // Whatever was accepted before shutdown was fully drained.
   size_t strangers = service->NumStrangers(ds.owner).value();
   EXPECT_LE(strangers, 10u);
+}
+
+TEST(ServingStressTest, KnownLabelsReadWhileDrainsRecordAnswers) {
+  // Background drains record every oracle answer into the owner's label
+  // store while a reader thread copies it through KnownLabels(). The
+  // copy is taken under the owner lock, so under TSan this runs clean,
+  // and every copy is a consistent store that only ever grows.
+  sim::OwnerDataset ds = MakeDataset(41);
+  Rng attitude_rng(17);
+  sim::OwnerAttitude attitude = sim::SampleOwnerAttitude(&attitude_rng);
+  auto oracle =
+      sim::OwnerModel::Create(attitude, &ds.profiles, &ds.visibility)
+          .value();
+  RiskServiceConfig config;
+  config.engine.pools.attribute_weights = sim::PaperAttributeWeights();
+  config.num_shards = 2;
+  config.num_threads = 2;
+  auto service = RiskService::Create(std::move(config)).value();
+  OwnerRegistration registration;
+  registration.owner = ds.owner;
+  registration.graph = &ds.graph;
+  registration.profiles = &ds.profiles;
+  registration.visibility = &ds.visibility;
+  registration.oracle = &oracle;
+  ASSERT_TRUE(service->RegisterOwner(registration).ok());
+
+  std::atomic<bool> done{false};
+  size_t reads = 0;
+  std::thread reader([&] {
+    size_t last_size = 0;
+    while (!done.load()) {
+      PoolLearner::KnownLabels labels =
+          service->KnownLabels(ds.owner).value();
+      EXPECT_GE(labels.size(), last_size);
+      last_size = labels.size();
+      for (const auto& [stranger, value] : labels) {
+        EXPECT_TRUE(value >= kRiskLabelMin && value <= kRiskLabelMax)
+            << stranger;
+      }
+      ++reads;
+    }
+  });
+  // Each wave discovers new strangers, so each drained tick asks (and
+  // records) fresh questions.
+  constexpr size_t kWaves = 5;
+  size_t wave_size = (ds.strangers.size() + kWaves - 1) / kWaves;
+  for (size_t begin = 0; begin < ds.strangers.size(); begin += wave_size) {
+    size_t end = std::min(begin + wave_size, ds.strangers.size());
+    OwnerEvent event;
+    event.owner = ds.owner;
+    event.discovered.assign(ds.strangers.begin() + begin,
+                            ds.strangers.begin() + end);
+    ASSERT_TRUE(service->Submit(std::move(event)).ok());
+  }
+  ASSERT_TRUE(service->Flush().ok());
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(service->KnownLabels(ds.owner).value().size(),
+            service->NumKnownLabels(ds.owner).value());
+  EXPECT_GT(service->NumKnownLabels(ds.owner).value(), 0u);
 }
 
 TEST(ServingStressTest, SharedProfileTableWithMissingProfiles) {

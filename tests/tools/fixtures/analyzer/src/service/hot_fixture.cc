@@ -1,8 +1,8 @@
 // Seeded violations for the hot-path-rebuild rule: a miniature
 // RiskService whose drain path reaches EncodedProfileTable::Build,
-// SimilarityMatrix::Compact, and ProfileCodec construction outside the
-// sanctioned cold-rebuild fallbacks. Never compiled; driven by
-// tests/tools/sight_analyzer_test.py.
+// SimilarityMatrix::Compact, ProfileCodec construction, and
+// BenefitModel::ComputeBatch outside the sanctioned cold-rebuild
+// fallbacks. Never compiled; driven by tests/tools/sight_analyzer_test.py.
 
 #include <cstddef>
 
@@ -29,6 +29,22 @@ class StrangerEncodeCache {
   void Refresh() { EncodedProfileTable::Build(); }
 };
 
+class BenefitModel {
+ public:
+  void ComputeBatch() const;
+};
+
+class NetworkSimilarity {
+ public:
+  void ComputeBatch() const;
+};
+
+class BenefitCache {
+ public:
+  // GOOD: the epoch-guarded benefit carry computes what changed.
+  void Refresh(const BenefitModel& model) { model.ComputeBatch(); }
+};
+
 class RiskService {
  public:
   // Entry point: the analyzer walks the call graph from here.
@@ -47,10 +63,22 @@ class RiskService {
     // GOOD: the sanctioned fallback is reachable but not reported.
     cache_.Refresh();
     (void)codec;
+    // BAD: benefits recomputed for every stranger on the serving path.
+    BenefitModel benefit;
+    benefit.ComputeBatch();
+    // BAD: a receiver of undeclared type may be a BenefitModel.
+    model_.ComputeBatch();
+    // GOOD: a network-similarity batch is not a benefit recompute.
+    NetworkSimilarity similarity;
+    similarity.ComputeBatch();
+    // GOOD: the benefit carry is the sanctioned refresh.
+    benefits_.Refresh(benefit);
   }
 
   SimilarityMatrix weights_;
   StrangerEncodeCache cache_;
+  BenefitModel model_;
+  BenefitCache benefits_;
 };
 
 // GOOD: not reachable from any serving entry point — rebuilds are fine
@@ -59,6 +87,8 @@ void OfflineRebuild() {
   EncodedProfileTable::Build();
   ProfileCodec codec(2);
   (void)codec;
+  BenefitModel benefit;
+  benefit.ComputeBatch();
 }
 
 }  // namespace sight

@@ -127,9 +127,12 @@ def main():
     check_rule_case(
         "hot-path", "src/service/hot_fixture.cc", "hot-path-rebuild",
         must_flag=["EncodedProfileTable::Build", "Compact()",
-                   "ProfileCodec construction"],
-        must_not_flag=["Refresh", "OfflineRebuild"],
-        min_findings=4)
+                   "ProfileCodec construction",
+                   "benefit.ComputeBatch() (BenefitModel::ComputeBatch)",
+                   "model_.ComputeBatch() (BenefitModel::ComputeBatch)"],
+        must_not_flag=["Refresh", "OfflineRebuild", "similarity.ComputeBatch",
+                       "NetworkSimilarity"],
+        min_findings=6)
 
     check_rule_case(
         "status", "src/core/status_fixture.cc", "status-discipline",

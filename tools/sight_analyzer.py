@@ -20,12 +20,12 @@ serving path actually relies on (DESIGN.md §15):
                      acquisition order across mutex pairs.
   hot-path-rebuild   Call-graph walk from the RiskService drain/assess
                      entry points: EncodedProfileTable::Build,
-                     SimilarityMatrix::Compact, and ProfileCodec
-                     construction may only be reached through the
-                     sanctioned cold-rebuild fallbacks (the carried
-                     caches of DESIGN.md §14), never from new call
-                     sites. Replaces the textual no-hot-rebuild rule
-                     with reachability.
+                     SimilarityMatrix::Compact, ProfileCodec
+                     construction, and BenefitModel::ComputeBatch may
+                     only be reached through the sanctioned cold-rebuild
+                     fallbacks (the carried caches of DESIGN.md §14),
+                     never from new call sites. Replaces the textual
+                     no-hot-rebuild rule with reachability.
   status-discipline  Semantic (not regex) check that every call to a
                      Status/Result<T>-returning function consumes the
                      result: a bare `Foo(...);` statement is flagged
@@ -97,11 +97,19 @@ HOT_PATH_ENTRIES = {
 HOT_REBUILD_QUALIFIED = {("EncodedProfileTable", "Build")}
 HOT_REBUILD_METHODS = {"Compact"}  # resolves to SimilarityMatrix::Compact
 HOT_REBUILD_CTORS = {"ProfileCodec"}
+# Recomputations of a carried value, matched by the class that receives
+# the call: the qualified form, or a receiver whose declaration in the
+# body names the class. A receiver the body does not declare (a member,
+# a parameter, `auto`) counts as a match, so the walk fails toward
+# reporting.
+HOT_RECOMPUTE_METHODS = {("BenefitModel", "ComputeBatch")}
 
 # Functions sanctioned to call rebuild primitives: the fingerprint-guarded
 # cold fallbacks and the codec/matrix machinery itself (DESIGN.md §14/§15).
 HOT_REBUILD_SANCTIONED = {
     "StrangerEncodeCache::Refresh",   # encode cold rebuild on epoch mismatch
+    "BenefitCache::Refresh",          # benefit carry keyed on the visibility
+                                      # epoch: recomputes only what changed
     "PoolLearner::Create",            # CSR compaction of a newly built pool
     "ValueFrequencyTable::Build",     # frequency tables own a codec
     "ValueFrequencyTable::BuildFromCodes",
@@ -1138,13 +1146,57 @@ def rule_lock(model, findings):
 # Rule: hot-path-rebuild
 
 
+def declared_type(fn, name, before):
+    """Class named by the nearest `Type name` declaration of `name` in
+    the body before token `before` (through `const`/`&`/`*`), or None
+    when the body declares no such local."""
+    toks = fn.body
+    for k in range(before - 1, 0, -1):
+        if toks[k].kind != "id" or toks[k].text != name:
+            continue
+        j = k - 1
+        while j >= 0 and toks[j].text in ("&", "*", "&&", "const"):
+            j -= 1
+        if j >= 0 and toks[j].kind == "id" and \
+                toks[j].text not in CPP_KEYWORDS:
+            return None if toks[j].text == "auto" else toks[j].text
+    return None
+
+
+def recompute_class(fn, call):
+    """For a call to a HOT_RECOMPUTE_METHODS name: the class it targets
+    when that is one of the listed classes (or cannot be told apart from
+    one), else None."""
+    classes = {cls for cls, name in HOT_RECOMPUTE_METHODS
+               if name == call.name}
+    if not classes:
+        return None
+    if call.qual is not None:
+        return call.qual if call.qual in classes else None
+    if call.receiver is None:
+        return fn.cls if fn.cls in classes else None
+    var = call.receiver.removesuffix(".").removesuffix("->")
+    if not re.fullmatch(r"[A-Za-z_]\w*", var):
+        return sorted(classes)[0]
+    cls = declared_type(fn, var, call.idx)
+    if cls is None:
+        return sorted(classes)[0]
+    return cls if cls in classes else None
+
+
 def rebuild_primitive_events(fn):
     """(line, label, detail) for rebuild primitives in a body."""
     events = []
     toks = fn.body
     n = len(toks)
     for call in extract_calls(fn):
-        if (call.qual, call.name) in HOT_REBUILD_QUALIFIED:
+        recompute = recompute_class(fn, call)
+        if recompute is not None:
+            events.append((call.line,
+                           f"{call.receiver or ''}{call.name}() "
+                           f"({recompute}::{call.name})",
+                           f"{recompute}::{call.name}"))
+        elif (call.qual, call.name) in HOT_REBUILD_QUALIFIED:
             events.append((call.line, f"{call.qual}::{call.name}",
                            f"{call.qual}::{call.name}"))
         elif call.name in HOT_REBUILD_METHODS and call.receiver is not None:

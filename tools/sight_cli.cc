@@ -254,12 +254,12 @@ Result<RiskReport> RunAssessment(const Args& args,
   SIGHT_ASSIGN_OR_RETURN(RiskReport report,
                          service->AssessSync(dataset.owner, oracle, &rng));
   if (!args.owner_labels_out.empty()) {
-    SIGHT_ASSIGN_OR_RETURN(const PoolLearner::KnownLabels* known,
-                           service->KnownLabelsView(dataset.owner));
+    SIGHT_ASSIGN_OR_RETURN(PoolLearner::KnownLabels known,
+                           service->KnownLabels(dataset.owner));
     SIGHT_RETURN_IF_ERROR(
-        io::SaveKnownLabelsToFile(*known, args.owner_labels_out));
+        io::SaveKnownLabelsToFile(known, args.owner_labels_out));
     std::printf("owner answers saved to %s (%zu labels)\n",
-                args.owner_labels_out.c_str(), known->size());
+                args.owner_labels_out.c_str(), known.size());
   }
   return report;
 }
